@@ -33,8 +33,6 @@ from .pipeline import (
     Engine,
     QueryRequest,
     RunReport,
-    SimulatedClock,
-    WallClock,
     run,
 )
 from .ports import PortSet, RemoteBackendConfig, hash_text_encode, remote_ports, stub_ports

@@ -3,6 +3,9 @@
 InputError maps to CLI exit code 2, BackendError/ProtocolError to 3.
 """
 
+import dataclasses
+import math
+
 
 class StreamMemError(Exception):
     """Base class for all engine errors."""
@@ -24,3 +27,11 @@ class BackendError(StreamMemError):
 
 class ProtocolError(BackendError):
     """A remote backend answered with a malformed payload."""
+
+
+def require_finite(config) -> None:
+    """Raise InputError if a float field of a config dataclass is NaN or infinite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{f.name} must be finite, got {value}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_finite
 
 
 @dataclass(frozen=True)
@@ -24,21 +24,6 @@ class Frame:
     pixels: np.ndarray  # 2-D float array, intensities in [0, 1]
     timestamp: float
     tags: tuple[str, ...] = ()
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @staticmethod
-    def from_rgb(rgb: np.ndarray, timestamp: float, tags: tuple[str, ...] = ()) -> "Frame":
-        """Luminance by channel mean; deterministic and codec-free."""
-        if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise InputError(f"expected HxWx3 array, got shape {rgb.shape}")
-        return Frame(pixels=rgb.mean(axis=2), timestamp=timestamp, tags=tags)
 
     @staticmethod
     def from_pgm(path: str | Path, timestamp: float, tags: tuple[str, ...] = ()) -> "Frame":
@@ -98,6 +83,7 @@ class GateConfig:
     downsample_max_edge: int = 64
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 <= self.threshold_t <= 1.0:
             raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
         if self.norm_scale <= 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .frame_gate import Frame, GateConfig
 from .memory_core import MemoryConfig, derive_seed
-from .pipeline import AnswerRecord, CostModel, Engine, QueryRequest, RunReport, run
+from .pipeline import AnswerRecord, Engine, QueryRequest, RunReport, run
 from .ports import PortSet
 
 TASK_TYPES = ("OS", "LM", "SM", "CI", "KG", "SF")
@@ -36,8 +37,8 @@ class SceneDef:
     motion: float  # in [0, 1]
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InputError("scene duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise InputError(f"scene duration must be positive and finite, got {self.duration}")
         if not 0.0 <= self.motion <= 1.0:
             raise InputError("motion level must be in [0, 1]")
 
@@ -52,8 +53,10 @@ class SceneSpec:
     max_shift: float = 3.0
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise InputError("fps must be positive")
+        if not 0 < self.fps < math.inf:
+            raise InputError(f"fps must be positive and finite, got {self.fps}")
+        if not 0 <= self.noise < math.inf:
+            raise InputError(f"noise must be non-negative and finite, got {self.noise}")
 
     def to_json(self) -> dict:
         return {
@@ -149,6 +152,8 @@ class TraceQuery:
     task_type: str
 
     def __post_init__(self):
+        if not math.isfinite(self.t_input):
+            raise InputError(f"t_input must be finite, got {self.t_input}")
         if self.task_type not in TASK_TYPES:
             raise InputError(f"unknown task type {self.task_type!r}")
 
@@ -215,7 +220,7 @@ def load_trace(path: str | Path) -> Trace:
                             task_type=doc.get("task_type", "SF"),
                         )
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, InputError) as exc:
                     raise InputError(f"{path}:{lineno}: bad query record: {exc}") from exc
             else:
                 raise InputError(f"{path}:{lineno}: unknown record type {kind!r}")
@@ -375,13 +380,12 @@ def run_benchmark(
     out_dir: str | Path | None = None,
     clock_mode: str = "sim",
     threshold: int = 3,
-    cost: CostModel | None = None,
 ):
     """Run the pipeline over a trace, judge every answer, and (optionally)
     write report.json plus transcript.jsonl to out_dir."""
     frames = trace.frames()
     requests = [QueryRequest(question=q.question, t_input=q.t_input) for q in trace.queries]
-    report = run(frames, requests, mem_cfg, gate_cfg, ports, clock_mode=clock_mode, cost=cost)
+    report = run(frames, requests, mem_cfg, gate_cfg, ports, clock_mode=clock_mode)
     scored = judge_answers(report, trace.queries, ports.judge)
     metrics = compute_metrics(scored, threshold) if scored else None
 
@@ -390,7 +394,8 @@ def run_benchmark(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        (out / "report.json").write_text(text + "\n")
         with open(out / "transcript.jsonl", "w") as fh:
             for s, q in zip(scored, trace.queries):
                 fh.write(
@@ -409,6 +414,7 @@ def run_benchmark(
                             "error": s.record.error,
                         },
                         sort_keys=True,
+                        allow_nan=False,
                     )
                     + "\n"
                 )

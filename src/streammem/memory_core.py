@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_finite
 from .frame_gate import Chunk, VisionEmbedding
 
 __all__ = [
@@ -53,6 +53,7 @@ class MemoryConfig:
     min_dialogue_sim: float = 0.35
 
     def __post_init__(self):
+        require_finite(self)
         if self.chunk_len_L < 1:
             raise InputError("chunk_len_L must be >= 1")
         if self.group_size_g < 2:
@@ -98,20 +99,18 @@ def forgetting_weights(n: int, scale_s: float) -> np.ndarray:
 @dataclass(frozen=True)
 class ShortTermMemory:
     units: tuple[VisionEmbedding, ...]
-    last_refresh_timestamp: float
 
 
 def refresh_short_term(
     recent: list[VisionEmbedding],
     cfg: MemoryConfig,
     rng: np.random.Generator,
-    now: float,
 ) -> ShortTermMemory:
     """Sample min(S, |recent|) embeddings without replacement, pick probability
     proportional to the forgetting weight of each age.  `recent` is newest-last.
     """
     if not recent:
-        return ShortTermMemory(units=(), last_refresh_timestamp=now)
+        return ShortTermMemory(units=())
     pool = list(recent[-cfg.candidate_len_N :])
     weights = forgetting_weights(len(pool), cfg.forgetting_scale_s)
     # ages run newest=0; pool is newest-last, so reverse the weight vector.
@@ -126,9 +125,7 @@ def refresh_short_term(
         del available[pick]
         p = np.delete(p, pick)
     chosen.sort()  # chronological order
-    return ShortTermMemory(
-        units=tuple(pool[i] for i in chosen), last_refresh_timestamp=now
-    )
+    return ShortTermMemory(units=tuple(pool[i] for i in chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +347,6 @@ class MemoryTree:
     def level_sizes(self) -> list[int]:
         return [len(level) for level in self.levels if level]
 
-    def to_json(self) -> dict:
-        return tree_view_to_json(self.view())
-
-    @staticmethod
-    def from_json(doc: dict, cfg: MemoryConfig) -> "MemoryTree":
-        tree = MemoryTree(cfg)
-        view = tree_view_from_json(doc)
-        tree.levels = [list(level) for level in view] or [[]]
-        return tree
-
 
 def tree_view_to_json(view: TreeView) -> dict:
     return {
@@ -496,17 +483,15 @@ class MemoryStore:
         self.captioner = captioner
         self.text_encoder = text_encoder
         self.tree = MemoryTree(cfg)
-        self.short = ShortTermMemory(units=(), last_refresh_timestamp=0.0)
+        self.short = ShortTermMemory(units=())
         self.dialogue = DialogueMemory()
         self.recent: deque[VisionEmbedding] = deque(maxlen=cfg.candidate_len_N)
         self.version = 0
         self._chunk_index = 0
         self._refresh_count = 0
 
-    def note_embedding(self, e: VisionEmbedding) -> None:
-        self.recent.append(e)
-
     def on_chunk(self, chunk: Chunk) -> None:
+        self.recent.extend(chunk.embeddings)
         unit = make_unit(chunk, self.cfg, self._chunk_index, self.captioner, self.text_encoder)
         self._chunk_index += 1
         self.tree.append(unit, self.captioner, self.text_encoder)
@@ -514,7 +499,7 @@ class MemoryStore:
             derive_seed(self.cfg.rng_seed, "short-refresh", self._refresh_count)
         )
         self._refresh_count += 1
-        self.short = refresh_short_term(list(self.recent), self.cfg, rng, now=chunk.span[1])
+        self.short = refresh_short_term(list(self.recent), self.cfg, rng)
         self.version += 1
 
     def on_answer(self, question: str, answer: str, timestamp: float) -> None:

@@ -1,19 +1,18 @@
 """Three-stage pipeline: frame gating, memory formation, contextual
 summarization.
 
-Two execution modes share the same stage logic:
+The stage logic lives once, in `Stages`; two drivers decide only the order
+and the threading:
 
-* simulated clock -- a single-threaded interpreter that replays frame and
-  query events in timestamp order with a deterministic cost model, so the
-  same (trace, seeds, config) always yields a byte-identical report;
-* wall clock -- three real threads over bounded queues with snapshot
-  isolation, used by the interactive mode and the concurrency stress tests.
-
-Formation work and generation share one simulated compute resource in
-simulated mode: a query's generation starts no earlier than the resource is
-free, which is what makes request processing delay sensitive to clustering
-load.  Queries never wait for formation to *read*: they always see the
-latest published snapshot.
+* `run_sim` replays frame and query events in timestamp order on one thread,
+  timed by a deterministic cost model, so the same (trace, seeds, config)
+  always yields a byte-identical report.  Formation and generation share one
+  simulated compute resource, which makes request processing delay (`rpd`)
+  sensitive to clustering load; here `rpd` is a `CostModel` figure, not a
+  measurement.
+* `Engine` runs intake and formation on two threads joined by one formation
+  inbox.  Queries read the latest published snapshot and never wait for
+  formation.
 """
 
 from __future__ import annotations
@@ -23,45 +22,13 @@ import json
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BackendError, InputError
-from .frame_gate import Frame, FrameGate, GateConfig, VisionBuffer
+from .frame_gate import Chunk, Frame, FrameGate, GateConfig, VisionBuffer
 from .memory_core import MemoryConfig, MemoryStore
 from .ports import PortSet
-from .retrieval import assemble_context, bundle_digest, encode_query
-
-
-class SimulatedClock:
-    """Advances only via explicit set/advance calls."""
-
-    mode = "sim"
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def set(self, t: float) -> None:
-        if t < self._now:
-            raise InputError(f"simulated clock cannot go backwards ({t} < {self._now})")
-        self._now = t
-
-    def advance(self, dt: float) -> None:
-        self.set(self._now + dt)
-
-
-class WallClock:
-    mode = "wall"
-
-    def __init__(self):
-        self._origin = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._origin
+from .retrieval import PathResult, assemble_context, bundle_digest, encode_query
 
 
 @dataclass(frozen=True)
@@ -123,14 +90,85 @@ class RunReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _config_echo(mem_cfg: MemoryConfig, gate_cfg: GateConfig) -> dict:
-    echo = dataclasses.asdict(mem_cfg)
-    echo.update({f"gate_{k}": v for k, v in dataclasses.asdict(gate_cfg).items()})
-    return echo
+def _report(frames_in, frames_kept, duration, answers, mem_cfg, gate_cfg, mode) -> RunReport:
+    config = dataclasses.asdict(mem_cfg)
+    config.update({f"gate_{k}": v for k, v in dataclasses.asdict(gate_cfg).items()})
+    return RunReport(
+        frames_in=frames_in,
+        frames_kept=frames_kept,
+        duration=duration,
+        fps_in=frames_in / duration if duration > 0 else 0.0,
+        fps_kept=frames_kept / duration if duration > 0 else 0.0,
+        answers=answers,
+        config=config,
+        clock_mode=mode,
+    )
 
 
-def _chunk_rows(chunk) -> int:
-    return sum(e.tokens.shape[0] for e in chunk.embeddings)
+# ---------------------------------------------------------------------------
+# the stage core
+
+
+class Stages:
+    """The stage logic both drivers share: intake gates, encodes and buffers
+    frames, formation writes chunks and answered turns into the store, and
+    answering reads a snapshot."""
+
+    def __init__(self, mem_cfg: MemoryConfig, gate_cfg: GateConfig, ports: PortSet):
+        self.mem_cfg = mem_cfg
+        self.ports = ports
+        self.gate = FrameGate(gate_cfg)
+        self.buf = VisionBuffer(mem_cfg.chunk_len_L)
+        self.store = MemoryStore(mem_cfg, ports.captioner, ports.text_encoder)
+        self.frames_in = 0
+        self.frames_kept = 0
+
+    def intake(self, frame: Frame) -> tuple[bool, Chunk | None]:
+        """Gate one frame and, if kept, encode and buffer it.  Returns whether
+        it was kept and the chunk its embedding completed, if any."""
+        self.frames_in += 1
+        if not self.gate.update(frame).kept:
+            return False, None
+        self.frames_kept += 1
+        return True, self.buf.push(self.ports.frame_encoder(frame))
+
+    def form(self, item: Chunk | AnswerRecord) -> None:
+        """Write a chunk, or an answered turn, into memory."""
+        if isinstance(item, Chunk):
+            self.store.on_chunk(item)
+        else:
+            self.store.on_answer(item.question, item.answer, item.t_done)
+
+    def answer(
+        self, question: str, t_input: float, snapshot, start, finish
+    ) -> tuple[AnswerRecord, PathResult | None]:
+        """Encode the question, assemble its context from `snapshot`, digest
+        the bundle and generate.  The driver's clock supplies the times:
+        `start(bundle)` when generation starts, `start(None)` instead when a
+        port failed, and `finish(t_start)` when the answer is done."""
+        answer, digest, path, error = "", "", None, None
+        try:
+            q = encode_query(question, self.ports.text_encoder)
+            bundle = assemble_context(snapshot, q, self.mem_cfg)
+            path = bundle.path
+            digest = bundle_digest(bundle)
+            t_start = start(bundle)
+            answer = self.ports.generator(bundle)
+        except BackendError as exc:
+            error = str(exc)
+            t_start = start(None)
+        record = AnswerRecord(question, answer, t_input, t_start, finish(t_start),
+                              t_start - t_input, digest, error)
+        return record, path
+
+
+def _bundle_rows(bundle) -> int:
+    """Token rows a prompt bundle carries; 0 when there is no bundle."""
+    if bundle is None:
+        return 0
+    return sum(m.shape[0] for m in bundle.tree_tokens) + sum(
+        e.tokens.shape[0] for e in bundle.short_term
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,116 +181,68 @@ def run_sim(
     mem_cfg: MemoryConfig,
     gate_cfg: GateConfig,
     ports: PortSet,
-    cost: CostModel | None = None,
 ) -> RunReport:
     """Deterministic single-threaded replay of the three-stage pipeline.
 
     Events are processed in timestamp order, frames before queries at equal
     timestamps.  The final partial buffer is flushed at stream end.
     """
-    cost = cost or CostModel()
+    cost = CostModel()
     for a, b in zip(queries, queries[1:]):
         if b.t_input < a.t_input:
             raise InputError("queries must be sorted by t_input")
 
-    gate = FrameGate(gate_cfg)
-    buf = VisionBuffer(mem_cfg.chunk_len_L)
-    store = MemoryStore(mem_cfg, ports.captioner, ports.text_encoder)
-    clock = SimulatedClock()
+    stages = Stages(mem_cfg, gate_cfg, ports)
+    now = 0.0  # simulated clock; never moves backwards
     busy_until = 0.0  # simulated shared compute resource
     answers: list[AnswerRecord] = []
-    frames_in = frames_kept = 0
     first_t = last_t = None
 
-    def handle_frame(frame: Frame):
-        nonlocal frames_in, frames_kept, busy_until, first_t, last_t
-        frames_in += 1
-        if first_t is None:
-            first_t = frame.timestamp
-        last_t = frame.timestamp
-        decision = gate.update(frame)
-        if not decision.kept:
-            return
-        frames_kept += 1
-        busy_until = max(busy_until, clock.now) + cost.frame_encode
-        embedding = ports.frame_encoder(frame)
-        store.note_embedding(embedding)
-        chunk = buf.push(embedding)
+    def form(chunk):
+        nonlocal busy_until
         if chunk is not None:
-            handle_chunk(chunk)
-
-    def handle_chunk(chunk):
-        nonlocal busy_until
-        busy_until = max(busy_until, clock.now) + cost.cluster_per_row * _chunk_rows(chunk)
-        store.on_chunk(chunk)
-
-    def handle_query(req: QueryRequest):
-        nonlocal busy_until
-        snapshot = store.snapshot()
-        error = None
-        answer = ""
-        digest = ""
-        try:
-            q = encode_query(req.question, ports.text_encoder)
-            bundle = assemble_context(snapshot, q, mem_cfg)
-            digest = bundle_digest(bundle)
-            rows = sum(m.shape[0] for m in bundle.tree_tokens) + sum(
-                e.tokens.shape[0] for e in bundle.short_term
-            )
-            t_start = max(req.t_input + cost.assemble_base + cost.assemble_per_row * rows,
-                          busy_until)
-            answer = ports.generator(bundle)
-        except BackendError as exc:
-            error = str(exc)
-            t_start = max(req.t_input + cost.assemble_base, busy_until)
-        t_done = t_start + cost.generate
-        busy_until = t_done
-        answers.append(
-            AnswerRecord(
-                question=req.question,
-                answer=answer,
-                t_input=req.t_input,
-                t_start=t_start,
-                t_done=t_done,
-                rpd=t_start - req.t_input,
-                bundle_digest=digest,
-                error=error,
-            )
-        )
-        if error is None:
-            # appended after generation completes: a query never sees its own turn
-            store.on_answer(req.question, answer, t_done)
+            rows = sum(e.tokens.shape[0] for e in chunk.embeddings)
+            busy_until = max(busy_until, now) + cost.cluster_per_row * rows
+            stages.form(chunk)
 
     frame_iter = iter(frames)
-    pending_frame = next(frame_iter, None)
+    frame = next(frame_iter, None)
     qi = 0
-    while pending_frame is not None or qi < len(queries):
-        frame_t = pending_frame.timestamp if pending_frame is not None else None
-        query_t = queries[qi].t_input if qi < len(queries) else None
-        if frame_t is not None and (query_t is None or frame_t <= query_t):
-            clock.set(max(clock.now, frame_t))
-            handle_frame(pending_frame)
-            pending_frame = next(frame_iter, None)
-            if pending_frame is None:
-                final = buf.flush()
-                if final is not None:
-                    handle_chunk(final)
+    while frame is not None or qi < len(queries):
+        if frame is not None and (qi == len(queries) or frame.timestamp <= queries[qi].t_input):
+            now = max(now, frame.timestamp)
+            first_t = frame.timestamp if first_t is None else first_t
+            last_t = frame.timestamp
+            kept, chunk = stages.intake(frame)
+            if kept:
+                busy_until = max(busy_until, now) + cost.frame_encode
+            form(chunk)
+            frame = next(frame_iter, None)
+            if frame is None:
+                form(stages.buf.flush())
         else:
-            clock.set(max(clock.now, query_t))
-            handle_query(queries[qi])
+            req = queries[qi]
             qi += 1
+            now = max(now, req.t_input)
+            record, _ = stages.answer(
+                req.question,
+                req.t_input,
+                stages.store.snapshot(),
+                start=lambda bundle: max(
+                    req.t_input + cost.assemble_base + cost.assemble_per_row * _bundle_rows(bundle),
+                    busy_until,
+                ),
+                finish=lambda t_start: t_start + cost.generate,
+            )
+            busy_until = record.t_done
+            answers.append(record)
+            if record.error is None:
+                # appended after generation completes: a query never sees its own turn
+                stages.form(record)
 
-    duration = float(last_t - first_t) if frames_in else 0.0
-    return RunReport(
-        frames_in=frames_in,
-        frames_kept=frames_kept,
-        duration=duration,
-        fps_in=frames_in / duration if duration > 0 else 0.0,
-        fps_kept=frames_kept / duration if duration > 0 else 0.0,
-        answers=answers,
-        config=_config_echo(mem_cfg, gate_cfg),
-        clock_mode="sim",
-    )
+    duration = float(last_t - first_t) if stages.frames_in else 0.0
+    return _report(stages.frames_in, stages.frames_kept, duration, answers,
+                   mem_cfg, gate_cfg, "sim")
 
 
 # ---------------------------------------------------------------------------
@@ -260,162 +250,158 @@ def run_sim(
 
 
 class Engine:
-    """Live three-thread engine for wall-clock runs and the interactive mode.
+    """Live engine for wall-clock runs and the interactive mode.
 
-    Stage 1 (frame intake) feeds chunks to stage 2 over a bounded queue that
-    blocks when full; stage 2 owns all memory structures and publishes
-    immutable snapshots; stage 3 is whoever calls submit_query, reading the
-    latest snapshot without blocking on formation.
+    Intake sends chunks, and submit_query answered turns, to one inbox that
+    formation reads in order with a blocking get.  Intake blocks while
+    CHUNK_QUEUE_BOUND chunks wait to be formed; answers take no chunk slot,
+    so a query never waits behind backpressure.  The first exception in
+    either thread stops intake and is raised again by submit_query and stop.
     """
 
     CHUNK_QUEUE_BOUND = 4
-    DIALOGUE_QUEUE_BOUND = 64
 
     def __init__(self, mem_cfg: MemoryConfig, gate_cfg: GateConfig, ports: PortSet):
         self.mem_cfg = mem_cfg
         self.gate_cfg = gate_cfg
         self.ports = ports
-        self.clock = WallClock()
-        self._gate = FrameGate(gate_cfg)
-        self._buf = VisionBuffer(mem_cfg.chunk_len_L)
-        self._store = MemoryStore(mem_cfg, ports.captioner, ports.text_encoder)
-        self._chunk_q: queue.Queue = queue.Queue(maxsize=self.CHUNK_QUEUE_BOUND)
-        self._dialogue_q: queue.Queue = queue.Queue(maxsize=self.DIALOGUE_QUEUE_BOUND)
-        self._snap_lock = threading.Lock()
-        self._snapshot = self._store.snapshot()
-        self._progress = float("-inf")  # last source timestamp seen by stage 1
+        self._origin = time.monotonic()
+        self._stages = Stages(mem_cfg, gate_cfg, ports)
+        self._snapshot = self._stages.store.snapshot()
+        # chunks, answer records and finally None (stop), in arrival order
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        # guards the fields below; notified whenever one of them changes
+        self._cond = threading.Condition()
+        self._chunks_pending = 0  # sent to formation, not yet formed
+        self._progress = float("-inf")  # timestamp of the last frame pulled
+        self._error: Exception | None = None  # first failure in a thread
         self._source_done = threading.Event()
-        self._stop = threading.Event()
         self._stopped = False
-        self.frames_in = 0
-        self.frames_kept = 0
         self.last_path = None  # PathResult of the most recent query, for display
         self._threads: list[threading.Thread] = []
 
-    # -- stage 2 helpers -----------------------------------------------------
-
-    def _publish(self):
-        snap = self._store.snapshot()
-        with self._snap_lock:
-            self._snapshot = snap
-
-    def latest_snapshot(self):
-        with self._snap_lock:
-            return self._snapshot
+    @property
+    def frames_in(self) -> int:
+        return self._stages.frames_in
 
     @property
-    def progress(self) -> float:
-        return self._progress
+    def frames_kept(self) -> int:
+        return self._stages.frames_kept
+
+    def _now(self) -> float:
+        return time.monotonic() - self._origin
+
+    def latest_snapshot(self):
+        return self._snapshot  # swapped whole by formation, never mutated
+
+    def _fail(self, exc: Exception) -> None:
+        with self._cond:
+            if self._error is None:
+                self._error = exc
+            self._cond.notify_all()
 
     # -- threads -------------------------------------------------------------
 
-    def _stage1(self, source):
+    def _intake(self, source) -> None:
         try:
             for frame in source:
-                self.frames_in += 1
-                self._progress = frame.timestamp
-                decision = self._gate.update(frame)
-                if not decision.kept:
-                    continue
-                self.frames_kept += 1
-                embedding = self.ports.frame_encoder(frame)
-                self._store.note_embedding(embedding)
-                chunk = self._buf.push(embedding)
+                with self._cond:
+                    if self._error is not None:
+                        return
+                    self._progress = frame.timestamp
+                    self._cond.notify_all()
+                _, chunk = self._stages.intake(frame)
                 if chunk is not None:
-                    self._chunk_q.put(chunk)  # blocks on backpressure
-            final = self._buf.flush()
+                    self._send(chunk)
+            final = self._stages.buf.flush()
             if final is not None:
-                self._chunk_q.put(final)
+                self._send(final)
+        except Exception as exc:
+            self._fail(exc)
         finally:
-            self._source_done.set()
+            with self._cond:
+                self._source_done.set()
+                self._cond.notify_all()
 
-    def _stage2(self):
-        while True:
-            try:
-                chunk = self._chunk_q.get(timeout=0.002)
-                self._store.on_chunk(chunk)
-                self._publish()
-            except queue.Empty:
-                pass
-            while True:
+    def _send(self, chunk: Chunk) -> None:
+        """Hand a chunk to formation once a slot is free (backpressure)."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._chunks_pending < self.CHUNK_QUEUE_BOUND or self._error is not None
+            )
+            if self._error is not None:
+                return
+            self._chunks_pending += 1
+        self._inbox.put(chunk)
+
+    def _formation(self) -> None:
+        # after a failure, keep draining so that intake never blocks on us
+        while (item := self._inbox.get()) is not None:
+            if self._error is None:
                 try:
-                    question, answer, t_done = self._dialogue_q.get_nowait()
-                except queue.Empty:
-                    break
-                self._store.on_answer(question, answer, t_done)
-                self._publish()
-            if (
-                self._stop.is_set()
-                and self._source_done.is_set()
-                and self._chunk_q.empty()
-                and self._dialogue_q.empty()
-            ):
-                break
+                    self._stages.form(item)
+                    self._snapshot = self._stages.store.snapshot()
+                except Exception as exc:
+                    self._fail(exc)
+            if isinstance(item, Chunk):
+                with self._cond:
+                    self._chunks_pending -= 1
+                    self._cond.notify_all()
+
+    def _wait_progress(self, t: float) -> None:
+        """Block until intake has pulled a frame at or after stream time `t`,
+        the source is exhausted or a stage failed."""
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._progress >= t
+                or self._source_done.is_set()
+                or self._error is not None
+            )
 
     # -- public API ----------------------------------------------------------
 
     def start(self, source) -> None:
-        t1 = threading.Thread(target=self._stage1, args=(source,), name="frame-intake")
-        t2 = threading.Thread(target=self._stage2, name="memory-formation")
-        self._threads = [t1, t2]
-        t2.start()
-        t1.start()
+        intake = threading.Thread(target=self._intake, args=(source,), name="frame-intake")
+        formation = threading.Thread(target=self._formation, name="memory-formation")
+        self._threads = [intake, formation]
+        formation.start()
+        intake.start()
 
     def submit_query(self, question: str) -> AnswerRecord:
+        if self._error is not None:
+            raise self._error
         if self._stopped:
             raise InputError("engine stopped; no further queries accepted")
-        t_input = self.clock.now
-        snapshot = self.latest_snapshot()
-        error = None
-        answer = ""
-        digest = ""
-        try:
-            q = encode_query(question, self.ports.text_encoder)
-            bundle = assemble_context(snapshot, q, self.mem_cfg)
-            self.last_path = bundle.path
-            digest = bundle_digest(bundle)
-            t_start = self.clock.now
-            answer = self.ports.generator(bundle)
-        except BackendError as exc:
-            error = str(exc)
-            t_start = self.clock.now
-        t_done = self.clock.now
-        if error is None:
-            self._dialogue_q.put((question, answer, t_done))
-        return AnswerRecord(
-            question=question,
-            answer=answer,
-            t_input=t_input,
-            t_start=t_start,
-            t_done=t_done,
-            rpd=t_start - t_input,
-            bundle_digest=digest,
-            error=error,
+        record, self.last_path = self._stages.answer(
+            question,
+            self._now(),
+            self.latest_snapshot(),
+            start=lambda bundle: self._now(),
+            finish=lambda t_start: self._now(),
         )
+        if record.error is None:
+            self._inbox.put(record)
+        return record
 
     def wait_source_done(self, timeout: float | None = None) -> bool:
         return self._source_done.wait(timeout)
 
     def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop.set()
-        for t in self._threads:
-            t.join()
+        """Let intake finish the source, form everything sent so far, join
+        both threads, and raise the first stage failure, if any."""
+        if not self._stopped:
+            self._stopped = True
+            if self._threads:
+                intake, formation = self._threads
+                intake.join()
+                self._inbox.put(None)
+                formation.join()
+        if self._error is not None:
+            raise self._error
 
     def report(self, answers: list[AnswerRecord]) -> RunReport:
-        elapsed = self.clock.now
-        return RunReport(
-            frames_in=self.frames_in,
-            frames_kept=self.frames_kept,
-            duration=elapsed,
-            fps_in=self.frames_in / elapsed if elapsed > 0 else 0.0,
-            fps_kept=self.frames_kept / elapsed if elapsed > 0 else 0.0,
-            answers=answers,
-            config=_config_echo(self.mem_cfg, self.gate_cfg),
-            clock_mode="wall",
-        )
+        return _report(self.frames_in, self.frames_kept, self._now(), answers,
+                       self.mem_cfg, self.gate_cfg, "wall")
 
 
 def run_wall(
@@ -426,16 +412,15 @@ def run_wall(
     ports: PortSet,
 ) -> RunReport:
     """Stream frames as fast as the stages allow; each query fires once the
-    source has progressed past its submission timestamp."""
+    source has progressed past its submission timestamp.  A stage failure
+    is raised."""
     engine = Engine(mem_cfg, gate_cfg, ports)
     engine.start(frames)
     answers: list[AnswerRecord] = []
     try:
         for req in queries:
-            while engine.progress < req.t_input and not engine._source_done.is_set():
-                time.sleep(0.001)
+            engine._wait_progress(req.t_input)
             answers.append(engine.submit_query(req.question))
-        engine.wait_source_done()
     finally:
         engine.stop()
     return engine.report(answers)
@@ -448,10 +433,9 @@ def run(
     gate_cfg: GateConfig,
     ports: PortSet,
     clock_mode: str = "sim",
-    cost: CostModel | None = None,
 ) -> RunReport:
     if clock_mode == "sim":
-        return run_sim(frames, queries, mem_cfg, gate_cfg, ports, cost=cost)
+        return run_sim(frames, queries, mem_cfg, gate_cfg, ports)
     if clock_mode == "wall":
         return run_wall(frames, queries, mem_cfg, gate_cfg, ports)
     raise InputError(f"unknown clock mode {clock_mode!r}")

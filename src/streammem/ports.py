@@ -10,6 +10,7 @@ A minimal JSON-over-HTTP client lets real models replace the stubs.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import time
@@ -216,11 +217,16 @@ class RemoteClient:
                 )
                 if 200 <= resp.status_code < 300:
                     try:
-                        return resp.json()
+                        reply = resp.json()
                     except ValueError as exc:
                         raise ProtocolError(
                             f"non-JSON response from {endpoint}", endpoint=endpoint
                         ) from exc
+                    if not isinstance(reply, dict):
+                        raise ProtocolError(
+                            f"{endpoint} response is not a JSON object", endpoint=endpoint
+                        )
+                    return reply
                 last_error = f"HTTP {resp.status_code}"
             except ProtocolError:
                 raise
@@ -235,10 +241,18 @@ class RemoteClient:
         )
 
 
-def _require(payload: dict, key: str, endpoint: str):
+def _require(payload: dict, key: str, endpoint: str, kind: type = object):
     if key not in payload:
         raise ProtocolError(f"missing field {key!r} in {endpoint} response", endpoint=endpoint)
+    if not isinstance(payload[key], kind):
+        raise ProtocolError(
+            f"field {key!r} in {endpoint} response is not a {kind.__name__}", endpoint=endpoint
+        )
     return payload[key]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 class RemoteTextEncoder:
@@ -247,7 +261,17 @@ class RemoteTextEncoder:
 
     def __call__(self, text: str) -> np.ndarray:
         reply = self.client.call("embed", {"texts": [text]})
-        vectors = _require(reply, "vectors", "embed")
+        vectors = _require(reply, "vectors", "embed", list)
+        if not (
+            vectors
+            and all(isinstance(v, list) and v and len(v) == len(vectors[0]) for v in vectors)
+            and all(_is_number(x) for v in vectors for x in v)
+        ):
+            raise ProtocolError(
+                "vectors in embed response must be a non-empty list of equal-length, "
+                "non-empty lists of finite numbers",
+                endpoint="embed",
+            )
         return np.asarray(vectors[0], dtype=np.float64)
 
 
@@ -257,11 +281,11 @@ class RemoteCaptioner:
 
     def caption_chunk(self, chunk: Chunk) -> str:
         reply = self.client.call("caption", {"captions": [], "tags": list(chunk.tags)})
-        return _require(reply, "caption", "caption")
+        return _require(reply, "caption", "caption", str)
 
     def summarize(self, captions: list[str]) -> str:
         reply = self.client.call("caption", {"captions": list(captions), "tags": []})
-        return _require(reply, "caption", "caption")
+        return _require(reply, "caption", "caption", str)
 
 
 class RemoteGenerator:
@@ -272,7 +296,7 @@ class RemoteGenerator:
         from .retrieval import bundle_to_json
 
         reply = self.client.call("generate", {"bundle": bundle_to_json(bundle)})
-        return _require(reply, "text", "generate")
+        return _require(reply, "text", "generate", str)
 
 
 class RemoteJudge:

@@ -164,7 +164,7 @@ def test_criterion_07_forgetting_sampler_frequencies():
     counts = {0.0: 0, 1.0: 0, 2.0: 0}
     draws = 100_000
     for _ in range(draws):
-        picked = refresh_short_term(recent, cfg, rng, now=3.0)
+        picked = refresh_short_term(recent, cfg, rng)
         counts[picked.units[0].source_timestamp] += 1
     raw = np.exp(-np.arange(3) / 1.0)  # age 0 = newest = timestamp 2.0
     expected = raw / raw.sum()

@@ -333,3 +333,43 @@ class TestCli:
         cfg = json.loads((out_dir / "report.json").read_text())["config"]
         assert cfg["chunk_len_L"] == 7
         assert cfg["gate_threshold_t"] == 0.2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            '{"min_dialogue_sim": NaN}',
+            '{"forgetting_scale_s": Infinity}',
+            '{"norm_scale": Infinity}',
+            '{"chunk_len_L": NaN}',
+        ],
+    )
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, overrides):
+        trace_path = tmp_path / "trace.jsonl"
+        main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(overrides)
+        assert main(["run", str(trace_path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header,query",
+        [
+            ({}, '{"type": "query", "t_input": NaN, "question": "q"}'),
+            ({}, '{"type": "query", "t_input": -Infinity, "question": "q"}'),
+            ({"fps": float("nan")}, None),
+            ({"fps": float("inf")}, None),
+            ({"noise": float("nan")}, None),
+        ],
+    )
+    def test_non_finite_trace_exits_2(self, tmp_path, capsys, header, query):
+        trace = gen_trace(num_scenes=2, scene_duration=6.0)
+        trace.source["spec"].update(header)
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(trace, trace_path)
+        if query is not None:
+            with open(trace_path, "a") as fh:
+                fh.write(query + "\n")
+        assert main(["run", str(trace_path), "--out", str(tmp_path / "out")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

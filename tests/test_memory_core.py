@@ -64,19 +64,19 @@ class TestShortTerm:
     def test_small_population_returned_whole(self):
         recent = [make_embedding(float(i)) for i in range(3)]
         cfg = MemoryConfig(short_len_S=5, candidate_len_N=20)
-        st_mem = refresh_short_term(recent, cfg, np.random.default_rng(0), now=3.0)
+        st_mem = refresh_short_term(recent, cfg, np.random.default_rng(0))
         assert len(st_mem.units) == 3
 
     def test_result_size_matches_s(self):
         recent = [make_embedding(float(i)) for i in range(20)]
         cfg = MemoryConfig(short_len_S=5, candidate_len_N=20)
-        st_mem = refresh_short_term(recent, cfg, np.random.default_rng(0), now=20.0)
+        st_mem = refresh_short_term(recent, cfg, np.random.default_rng(0))
         assert len(st_mem.units) == 5
 
     def test_chronological_and_within_candidate_window(self):
         recent = [make_embedding(float(i)) for i in range(40)]
         cfg = MemoryConfig(short_len_S=5, candidate_len_N=20)
-        st_mem = refresh_short_term(recent, cfg, np.random.default_rng(1), now=40.0)
+        st_mem = refresh_short_term(recent, cfg, np.random.default_rng(1))
         times = [u.source_timestamp for u in st_mem.units]
         assert times == sorted(times)
         assert min(times) >= 20.0  # never older than the N-th most recent
@@ -84,8 +84,8 @@ class TestShortTerm:
     def test_deterministic_given_seed(self):
         recent = [make_embedding(float(i)) for i in range(10)]
         cfg = MemoryConfig(short_len_S=3, candidate_len_N=20)
-        a = refresh_short_term(recent, cfg, np.random.default_rng(7), now=10.0)
-        b = refresh_short_term(recent, cfg, np.random.default_rng(7), now=10.0)
+        a = refresh_short_term(recent, cfg, np.random.default_rng(7))
+        b = refresh_short_term(recent, cfg, np.random.default_rng(7))
         assert [u.source_timestamp for u in a.units] == [u.source_timestamp for u in b.units]
 
     def test_pick_frequency_tracks_forgetting_curve(self):
@@ -95,7 +95,7 @@ class TestShortTerm:
         counts = np.zeros(3)
         trials = 30_000
         for _ in range(trials):
-            st_mem = refresh_short_term(recent, cfg, rng, now=3.0)
+            st_mem = refresh_short_term(recent, cfg, rng)
             counts[int(st_mem.units[0].source_timestamp)] += 1
         freqs = counts / trials
         # ages: newest (t=2) has weight 0.665
@@ -211,7 +211,7 @@ class TestTree:
 
     def test_json_roundtrip(self):
         tree = self.build_tree(5, small_cfg(group_size_g=2))
-        doc = tree.to_json()
+        doc = tree_view_to_json(tree.view())
         view = tree_view_from_json(doc)
         assert tree_view_to_json(view) == doc
         check_tree_invariants(view, g=2)
@@ -279,8 +279,6 @@ class TestStoreAndSnapshots:
 
     def test_chunk_flush_refreshes_short_term(self):
         store = self.make_store()
-        for i in range(4):
-            store.note_embedding(make_embedding(float(i)))
         store.on_chunk(chunk_at(0.0))
         assert store.snapshot().short_term
 

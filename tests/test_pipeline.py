@@ -1,19 +1,31 @@
+import dataclasses
+import socket
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from streammem.errors import InputError
+from streammem.cli import main
+from streammem.errors import BackendError, InputError
 from streammem.frame_gate import Frame, FrameGate, GateConfig, VisionBuffer
-from streammem.harness import SceneDef, SceneSpec, smooth_texture, synth_scenes
+from streammem.harness import (
+    SceneDef,
+    SceneSpec,
+    gen_trace,
+    save_trace,
+    smooth_texture,
+    synth_scenes,
+)
 from streammem.memory_core import MemoryConfig, MemoryStore
 from streammem.pipeline import (
     Engine,
     QueryRequest,
-    SimulatedClock,
     run,
     run_sim,
     run_wall,
 )
-from streammem.ports import stub_ports
+from streammem.ports import TagCaptioner, stub_ports
 from streammem.retrieval import assemble_context, bundle_digest, encode_query
 
 
@@ -51,9 +63,7 @@ def sequential_reference_digests(frames, queries, mem_cfg, gate_cfg, ports):
         if ft is not None and (qt is None or ft <= qt):
             decision = gate.update(pending)
             if decision.kept:
-                e = ports.frame_encoder(pending)
-                store.note_embedding(e)
-                chunk = buf.push(e)
+                chunk = buf.push(ports.frame_encoder(pending))
                 if chunk is not None:
                     store.on_chunk(chunk)
             pending = next(frame_iter, None)
@@ -70,15 +80,6 @@ def sequential_reference_digests(frames, queries, mem_cfg, gate_cfg, ports):
             store.on_answer(req.question, answer, req.t_input)
             qi += 1
     return digests
-
-
-class TestSimulatedClock:
-    def test_advances_and_rejects_backwards(self):
-        clock = SimulatedClock()
-        clock.advance(2.5)
-        assert clock.now == 2.5
-        with pytest.raises(InputError):
-            clock.set(1.0)
 
 
 class TestRunSim:
@@ -212,7 +213,6 @@ class TestWallMode:
                 snap = engine.latest_snapshot()
                 snap.check(cfg.group_size_g)
                 engine.submit_query(f"query {i} scene{i % 3}")
-                assert engine._chunk_q.qsize() <= Engine.CHUNK_QUEUE_BOUND
         finally:
             engine.wait_source_done()
             engine.stop()
@@ -221,3 +221,199 @@ class TestWallMode:
     def test_run_dispatch_unknown_mode(self):
         with pytest.raises(InputError):
             run([], [], small_cfg(), GateConfig(), stub_ports(), clock_mode="quantum")
+
+
+def finish_within(fn, timeout):
+    """Run fn in a daemon thread; fail if it has not returned or raised
+    within `timeout` seconds.  Returns (result, exception)."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    return out.get("result"), out.get("error")
+
+
+class FailingCaptioner(TagCaptioner):
+    def caption_chunk(self, chunk):
+        raise RuntimeError("captioner down")
+
+
+class FailingFrameEncoder:
+    def __init__(self, inner, fail_at):
+        self.inner = inner
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def __call__(self, frame):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("frame encoder down")
+        return self.inner(frame)
+
+
+class DialogueFailingTextEncoder:
+    """Encodes queries and captions, fails on every dialogue-turn write."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, text):
+        if text.startswith("Q: "):
+            raise RuntimeError("text encoder down")
+        return self.inner(text)
+
+
+class CountingCaptioner(TagCaptioner):
+    def __init__(self):
+        self.chunks = 0
+
+    def caption_chunk(self, chunk):
+        self.chunks += 1
+        return super().caption_chunk(chunk)
+
+
+def wall_queries():
+    return [QueryRequest(f"what is in scene{i}", 4.0 + 5.0 * i) for i in range(5)]
+
+
+class TestWallFailures:
+    def run_failing(self, ports):
+        frames = moving_scene_frames(n_scenes=3, duration=10.0)
+        return finish_within(
+            lambda: run_wall(frames, wall_queries(), small_cfg(), GateConfig(), ports), 10.0
+        )
+
+    def test_failing_captioner_is_raised(self):
+        ports = dataclasses.replace(stub_ports(), captioner=FailingCaptioner())
+        _, error = self.run_failing(ports)
+        assert isinstance(error, BackendError)
+        assert "captioner down" in str(error)
+
+    def test_failing_frame_encoder_is_raised(self):
+        ports = stub_ports()
+        ports.frame_encoder = FailingFrameEncoder(ports.frame_encoder, fail_at=10)
+        _, error = self.run_failing(ports)
+        assert isinstance(error, RuntimeError)
+        assert str(error) == "frame encoder down"
+        assert ports.frame_encoder.calls == 10  # intake stopped at the failure
+
+    def test_failing_dialogue_write_is_raised(self):
+        ports = stub_ports()
+        ports.text_encoder = DialogueFailingTextEncoder(ports.text_encoder)
+        _, error = self.run_failing(ports)
+        assert isinstance(error, BackendError)
+        assert "text encoder down" in str(error)
+
+    def test_engine_raises_failure_from_submit_and_stop(self):
+        ports = dataclasses.replace(stub_ports(), captioner=FailingCaptioner())
+        engine = Engine(small_cfg(), GateConfig(), ports)
+        engine.start(iter(moving_scene_frames()))
+        _, error = finish_within(engine.stop, 10.0)
+        assert isinstance(error, BackendError)
+        with pytest.raises(BackendError):
+            engine.submit_query("anything")
+
+    def test_cli_wall_run_against_unreachable_backend_exits_3(self, tmp_path):
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(gen_trace(num_scenes=2, scene_duration=6.0), trace_path)
+        with socket.socket() as sock:  # a port nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        code, error = finish_within(
+            lambda: main([
+                "run", str(trace_path), "--clock", "wall", "--backend", "remote",
+                "--remote-url", f"http://127.0.0.1:{port}", "--out", str(tmp_path / "out"),
+            ]),
+            30.0,
+        )
+        assert error is None
+        assert code == 3
+
+
+class TestWallScheduling:
+    def test_intake_blocks_while_chunks_are_pending(self):
+        release = threading.Event()
+
+        class BlockingCaptioner(TagCaptioner):
+            def caption_chunk(self, chunk):
+                release.wait()
+                return super().caption_chunk(chunk)
+
+        cfg = small_cfg(chunk_len_L=3)
+        frames = moving_scene_frames(n_scenes=3, duration=6.0, fps=10.0)
+        pulled = []
+
+        def source():
+            for frame in frames:
+                pulled.append(frame)
+                yield frame
+
+        ports = dataclasses.replace(stub_ports(), captioner=BlockingCaptioner())
+        engine = Engine(cfg, GateConfig(threshold_t=0.0), ports)
+        engine.start(source())
+        try:
+            assert not engine.wait_source_done(0.5)
+            assert len(pulled) <= (Engine.CHUNK_QUEUE_BOUND + 2) * cfg.chunk_len_L
+            # a query answers while intake is blocked on backpressure
+            record, error = finish_within(lambda: engine.submit_query("scene0 now"), 10.0)
+            assert error is None and record.error is None
+        finally:
+            release.set()
+            _, error = finish_within(engine.stop, 10.0)
+        assert error is None
+        assert engine.frames_in == len(frames)
+
+    def test_every_answer_before_stop_reaches_dialogue(self):
+        # four query threads beside intake and formation, with frequent thread
+        # switches: a lost or reordered inbox item would break the assertions
+        cfg = small_cfg()
+        engine = Engine(cfg, GateConfig(), stub_ports())
+        records = [[] for _ in range(4)]
+
+        def client(k):
+            for i in range(25):
+                records[k].append(engine.submit_query(f"client {k} question {i} scene{i % 3}"))
+
+        def session():
+            engine.start(iter(moving_scene_frames()))
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join()
+            engine.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, error = finish_within(session, 30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert error is None
+        final = engine.latest_snapshot()
+        final.check(cfg.group_size_g)
+        turns = [(e.question, e.answer) for e in final.dialogue]
+        assert sorted(turns) == sorted((r.question, r.answer) for rs in records for r in rs)
+        for rs in records:  # each client's turns keep its order
+            mine = [turn for turn in turns if turn[0] in {r.question for r in rs}]
+            assert mine == [(r.question, r.answer) for r in rs]
+
+    def test_wall_and_sim_agree_on_kept_frames_and_units(self):
+        frames = moving_scene_frames(n_scenes=3, duration=10.0)
+        cfg, gcfg = small_cfg(), GateConfig(threshold_t=0.35)
+        counts = []
+        for driver in (run_sim, run_wall):
+            captioner = CountingCaptioner()
+            ports = dataclasses.replace(stub_ports(), captioner=captioner)
+            report = driver(frames, [], cfg, gcfg, ports)
+            counts.append((report.frames_kept, captioner.chunks))
+        assert counts[0] == counts[1]
+        assert counts[0][1] == -(-counts[0][0] // cfg.chunk_len_L)

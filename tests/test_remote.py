@@ -14,6 +14,7 @@ from streammem.ports import (
     RemoteTextEncoder,
     remote_ports,
 )
+from streammem.retrieval import PromptBundle
 
 
 class MockHandler(BaseHTTPRequestHandler):
@@ -21,6 +22,7 @@ class MockHandler(BaseHTTPRequestHandler):
     fail_next = 0
     delay = 0.0
     bad_json = False
+    reply_body = None  # when set, the JSON text sent for every endpoint
     seen_auth: list = []
 
     def do_POST(self):
@@ -36,6 +38,9 @@ class MockHandler(BaseHTTPRequestHandler):
             return
         if MockHandler.bad_json:
             self._reply(b"not json{")
+            return
+        if MockHandler.reply_body is not None:
+            self._reply(MockHandler.reply_body.encode())
             return
         if self.path == "/embed":
             vectors = [[1.0, 2.0, 3.0] for _ in payload.get("texts", [])]
@@ -72,12 +77,14 @@ def server():
     MockHandler.fail_next = 0
     MockHandler.delay = 0.0
     MockHandler.bad_json = False
+    MockHandler.reply_body = None
     MockHandler.seen_auth = []
     httpd = QuietServer(("127.0.0.1", 0), MockHandler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def client_for(url, **kw):
@@ -136,3 +143,35 @@ def test_remote_portset_same_shapes_as_stub(server):
     vec = ports.text_encoder("hi")
     assert vec.ndim == 1
     assert ports.judge("q", "r", "p") == ("yes", 4)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '[1, 2]',  # not an object
+        '{"vectors": []}',
+        '{"vectors": [[1.0, 2.0], [1.0]]}',
+        '{"vectors": [["1.0"]]}',
+        '{"vectors": [[NaN]]}',
+        '{"vectors": [1.0, 2.0]}',
+    ],
+)
+def test_malformed_embed_reply_is_protocol_error(server, body):
+    MockHandler.reply_body = body
+    with pytest.raises(ProtocolError):
+        RemoteTextEncoder(client_for(server))("hello")
+
+
+def test_non_string_caption_is_protocol_error(server):
+    MockHandler.reply_body = '{"caption": 5}'
+    ports = remote_ports(RemoteBackendConfig(base_url=server, backoff_base=0.01))
+    with pytest.raises(ProtocolError):
+        ports.captioner.summarize(["scene: a"])
+
+
+def test_non_string_generated_text_is_protocol_error(server):
+    MockHandler.reply_body = '{"text": 7}'
+    ports = remote_ports(RemoteBackendConfig(base_url=server, backoff_base=0.01))
+    with pytest.raises(ProtocolError):
+        ports.generator(PromptBundle(short_term=(), tree_tokens=(), dialogue_context=None,
+                                     question="q"))
