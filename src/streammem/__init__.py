@@ -29,7 +29,6 @@ from .memory_core import (
 )
 from .pipeline import (
     AnswerRecord,
-    CostModel,
     Engine,
     QueryRequest,
     RunReport,

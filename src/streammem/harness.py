@@ -57,6 +57,11 @@ class SceneSpec:
             raise InputError(f"fps must be positive and finite, got {self.fps}")
         if not 0 <= self.noise < math.inf:
             raise InputError(f"noise must be non-negative and finite, got {self.noise}")
+        # a frame must hold at least the stub frame encoder's 4 x 4 histogram cells
+        if not isinstance(self.frame_size, int) or self.frame_size < 4:
+            raise InputError(f"frame_size must be an integer >= 4, got {self.frame_size!r}")
+        if not math.isfinite(self.max_shift):
+            raise InputError(f"max_shift must be finite, got {self.max_shift}")
 
     def to_json(self) -> dict:
         return {
@@ -72,18 +77,27 @@ class SceneSpec:
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "SceneSpec":
-        return SceneSpec(
-            scenes=tuple(
-                SceneDef(tags=tuple(s["tags"]), duration=s["duration"], motion=s["motion"])
-                for s in doc["scenes"]
-            ),
-            fps=doc.get("fps", 5.0),
-            noise=doc.get("noise", 0.0),
-            seed=doc.get("seed", 0),
-            frame_size=doc.get("frame_size", 48),
-            max_shift=doc.get("max_shift", 3.0),
-        )
+    def from_json(doc) -> "SceneSpec":
+        """Parse a trace header's spec; a missing field or a value of the
+        wrong type is an InputError."""
+        if not isinstance(doc, dict):
+            raise InputError("a synthetic frame source needs a 'spec' object")
+        try:
+            return SceneSpec(
+                scenes=tuple(
+                    SceneDef(tags=tuple(s["tags"]), duration=s["duration"], motion=s["motion"])
+                    for s in doc["scenes"]
+                ),
+                fps=doc.get("fps", 5.0),
+                noise=doc.get("noise", 0.0),
+                seed=doc.get("seed", 0),
+                frame_size=doc.get("frame_size", 48),
+                max_shift=doc.get("max_shift", 3.0),
+            )
+        except KeyError as exc:
+            raise InputError(f"synthetic spec lacks field {exc}") from exc
+        except TypeError as exc:
+            raise InputError(f"bad synthetic spec: {exc}") from exc
 
 
 def smooth_texture(rng: np.random.Generator, size: int, cutoff: int = 2) -> np.ndarray:
@@ -166,9 +180,11 @@ class Trace:
     def frames(self) -> list[Frame]:
         kind = self.source.get("kind")
         if kind == "synthetic":
-            frames, _ = synth_scenes(SceneSpec.from_json(self.source["spec"]))
+            frames, _ = synth_scenes(SceneSpec.from_json(self.source.get("spec")))
             return frames
         if kind == "dir":
+            if "path" not in self.source:
+                raise InputError("a dir frame source needs a 'path'")
             return frames_from_dir(self.source["path"], self.source.get("fps", 1.0))
         raise InputError(f"unknown frame source kind {kind!r}")
 
@@ -224,8 +240,8 @@ def load_trace(path: str | Path) -> Trace:
                     raise InputError(f"{path}:{lineno}: bad query record: {exc}") from exc
             else:
                 raise InputError(f"{path}:{lineno}: unknown record type {kind!r}")
-    if source is None:
-        raise InputError(f"{path}: trace has no header record")
+    if not isinstance(source, dict):
+        raise InputError(f"{path}: trace has no header record with a 'source' object")
     if any(b.t_input < a.t_input for a, b in zip(queries, queries[1:])):
         raise InputError(f"{path}: queries not sorted by t_input")
     return Trace(source=source, queries=tuple(queries))
@@ -261,7 +277,7 @@ def gen_trace(
         TraceQuery(
             t_input=min(5.0, total / 2),
             question="what scene is showing right now",
-            reference_answer=f"scene: {scenes[0].tags[0]}",
+            reference_answer=scenes[0].tags[0],
             task_type="SF",
         )
     ]
@@ -274,7 +290,7 @@ def gen_trace(
             TraceQuery(
                 t_input=min(end + delay, total - 0.5),
                 question=f"what was happening in the {tag} scene",
-                reference_answer=f"scene: {tag}",
+                reference_answer=tag,
                 task_type=task,
             )
         )
@@ -283,7 +299,7 @@ def gen_trace(
         TraceQuery(
             t_input=total - 0.25,
             question=f"earlier i asked about the {first_tag} scene, remind me about the {first_tag} scene",
-            reference_answer=f"scene: {first_tag}",
+            reference_answer=first_tag,
             task_type="CI",
         )
     )

@@ -5,14 +5,14 @@ The stage logic lives once, in `Stages`; two drivers decide only the order
 and the threading:
 
 * `run_sim` replays frame and query events in timestamp order on one thread,
-  timed by a deterministic cost model, so the same (trace, seeds, config)
-  always yields a byte-identical report.  Formation and generation share one
-  simulated compute resource, which makes request processing delay (`rpd`)
-  sensitive to clustering load; here `rpd` is a `CostModel` figure, not a
-  measurement.
+  so the same (trace, seeds, config) always yields a byte-identical report.
+  Stream time stands still while a query is answered, so a sim answer has
+  `t_start == t_done == t_input` and request processing delay (`rpd`) 0:
+  sim mode models no latency.
 * `Engine` runs intake and formation on two threads joined by one formation
   inbox.  Queries read the latest published snapshot and never wait for
-  formation.
+  formation.  Its answer times, and so `rpd`, are measured on the monotonic
+  clock.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ from .retrieval import PathResult, assemble_context, bundle_digest, encode_query
 class QueryRequest:
     question: str
     t_input: float
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Simulated per-operation costs (seconds) for the deterministic clock."""
-
-    frame_encode: float = 0.0005
-    cluster_per_row: float = 0.002  # per token row fed to chunk clustering
-    assemble_base: float = 0.005
-    assemble_per_row: float = 1e-5  # per retrieved token row
-    generate: float = 0.02
 
 
 @dataclass
@@ -123,14 +112,14 @@ class Stages:
         self.frames_in = 0
         self.frames_kept = 0
 
-    def intake(self, frame: Frame) -> tuple[bool, Chunk | None]:
-        """Gate one frame and, if kept, encode and buffer it.  Returns whether
-        it was kept and the chunk its embedding completed, if any."""
+    def intake(self, frame: Frame) -> Chunk | None:
+        """Gate one frame and, if kept, encode and buffer it.  Returns the
+        chunk its embedding completed, if any."""
         self.frames_in += 1
         if not self.gate.update(frame).kept:
-            return False, None
+            return None
         self.frames_kept += 1
-        return True, self.buf.push(self.ports.frame_encoder(frame))
+        return self.buf.push(self.ports.frame_encoder(frame))
 
     def form(self, item: Chunk | AnswerRecord) -> None:
         """Write a chunk, or an answered turn, into memory."""
@@ -140,35 +129,26 @@ class Stages:
             self.store.on_answer(item.question, item.answer, item.t_done)
 
     def answer(
-        self, question: str, t_input: float, snapshot, start, finish
+        self, question: str, t_input: float, snapshot, now
     ) -> tuple[AnswerRecord, PathResult | None]:
         """Encode the question, assemble its context from `snapshot`, digest
-        the bundle and generate.  The driver's clock supplies the times:
-        `start(bundle)` when generation starts, `start(None)` instead when a
-        port failed, and `finish(t_start)` when the answer is done."""
+        the bundle and generate.  `now()` is the driver's clock: it is read
+        when generation starts (or a port failed) and when the answer is
+        done."""
         answer, digest, path, error = "", "", None, None
         try:
             q = encode_query(question, self.ports.text_encoder)
             bundle = assemble_context(snapshot, q, self.mem_cfg)
             path = bundle.path
             digest = bundle_digest(bundle)
-            t_start = start(bundle)
+            t_start = now()
             answer = self.ports.generator(bundle)
         except BackendError as exc:
             error = str(exc)
-            t_start = start(None)
-        record = AnswerRecord(question, answer, t_input, t_start, finish(t_start),
+            t_start = now()
+        record = AnswerRecord(question, answer, t_input, t_start, now(),
                               t_start - t_input, digest, error)
         return record, path
-
-
-def _bundle_rows(bundle) -> int:
-    """Token rows a prompt bundle carries; 0 when there is no bundle."""
-    if bundle is None:
-        return 0
-    return sum(m.shape[0] for m in bundle.tree_tokens) + sum(
-        e.tokens.shape[0] for e in bundle.short_term
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,24 +165,20 @@ def run_sim(
     """Deterministic single-threaded replay of the three-stage pipeline.
 
     Events are processed in timestamp order, frames before queries at equal
-    timestamps.  The final partial buffer is flushed at stream end.
+    timestamps.  The final partial buffer is flushed at stream end.  Stream
+    time stands still while a query is answered: every answer is stamped
+    with its own t_input.
     """
-    cost = CostModel()
     for a, b in zip(queries, queries[1:]):
         if b.t_input < a.t_input:
             raise InputError("queries must be sorted by t_input")
 
     stages = Stages(mem_cfg, gate_cfg, ports)
-    now = 0.0  # simulated clock; never moves backwards
-    busy_until = 0.0  # simulated shared compute resource
     answers: list[AnswerRecord] = []
     first_t = last_t = None
 
     def form(chunk):
-        nonlocal busy_until
         if chunk is not None:
-            rows = sum(e.tokens.shape[0] for e in chunk.embeddings)
-            busy_until = max(busy_until, now) + cost.cluster_per_row * rows
             stages.form(chunk)
 
     frame_iter = iter(frames)
@@ -210,31 +186,18 @@ def run_sim(
     qi = 0
     while frame is not None or qi < len(queries):
         if frame is not None and (qi == len(queries) or frame.timestamp <= queries[qi].t_input):
-            now = max(now, frame.timestamp)
             first_t = frame.timestamp if first_t is None else first_t
             last_t = frame.timestamp
-            kept, chunk = stages.intake(frame)
-            if kept:
-                busy_until = max(busy_until, now) + cost.frame_encode
-            form(chunk)
+            form(stages.intake(frame))
             frame = next(frame_iter, None)
             if frame is None:
                 form(stages.buf.flush())
         else:
             req = queries[qi]
             qi += 1
-            now = max(now, req.t_input)
             record, _ = stages.answer(
-                req.question,
-                req.t_input,
-                stages.store.snapshot(),
-                start=lambda bundle: max(
-                    req.t_input + cost.assemble_base + cost.assemble_per_row * _bundle_rows(bundle),
-                    busy_until,
-                ),
-                finish=lambda t_start: t_start + cost.generate,
+                req.question, req.t_input, stages.store.snapshot(), now=lambda: req.t_input
             )
-            busy_until = record.t_done
             answers.append(record)
             if record.error is None:
                 # appended after generation completes: a query never sees its own turn
@@ -310,7 +273,7 @@ class Engine:
                         return
                     self._progress = frame.timestamp
                     self._cond.notify_all()
-                _, chunk = self._stages.intake(frame)
+                chunk = self._stages.intake(frame)
                 if chunk is not None:
                     self._send(chunk)
             final = self._stages.buf.flush()
@@ -373,11 +336,7 @@ class Engine:
         if self._stopped:
             raise InputError("engine stopped; no further queries accepted")
         record, self.last_path = self._stages.answer(
-            question,
-            self._now(),
-            self.latest_snapshot(),
-            start=lambda bundle: self._now(),
-            finish=lambda t_start: self._now(),
+            question, self._now(), self.latest_snapshot(), now=self._now
         )
         if record.error is None:
             self._inbox.put(record)

@@ -24,12 +24,16 @@ from .frame_gate import Chunk, Frame, VisionEmbedding
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+# stub text embedding width: at 256 buckets, query words alias with tag
+# words often enough to send tree descent down the wrong branch
+TEXT_DIM = 512
+
 
 def _tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def hash_text_encode(text: str, dim: int = 256) -> np.ndarray:
+def hash_text_encode(text: str, dim: int = TEXT_DIM) -> np.ndarray:
     """Signed feature hashing of whitespace/punctuation-split tokens into
     `dim` buckets, normalized to unit length.  Empty text -> zero vector."""
     if dim < 8:
@@ -51,7 +55,7 @@ def hash_text_encode(text: str, dim: int = 256) -> np.ndarray:
 
 
 class StubTextEncoder:
-    def __init__(self, dim: int = 256):
+    def __init__(self, dim: int = TEXT_DIM):
         self.dim = dim
 
     def __call__(self, text: str) -> np.ndarray:
@@ -93,9 +97,10 @@ class StubFrameEncoder:
 
 
 class TagCaptioner:
-    """Caption = sorted, deduplicated union of scene tags."""
-
-    PREFIX = "scene: "
+    """Caption = sorted, deduplicated union of scene tags, comma-separated
+    ("garden, harbor").  A caption carries no shared prefix: a word common
+    to every caption would score against every question and favour the
+    captions with fewest tags."""
 
     def caption_chunk(self, chunk: Chunk) -> str:
         return self._format(set(chunk.tags))
@@ -103,15 +108,12 @@ class TagCaptioner:
     def summarize(self, captions: list[str]) -> str:
         tags: set[str] = set()
         for caption in captions:
-            body = caption[len(self.PREFIX) :] if caption.startswith(self.PREFIX) else caption
-            tags.update(t.strip() for t in body.split(",") if t.strip())
+            tags.update(t.strip() for t in caption.split(",") if t.strip())
         tags.discard("unknown")
         return self._format(tags)
 
     def _format(self, tags: set[str]) -> str:
-        if not tags:
-            return self.PREFIX + "unknown"
-        return self.PREFIX + ", ".join(sorted(tags))
+        return ", ".join(sorted(tags)) if tags else "unknown"
 
 
 class EchoGenerator:
@@ -163,7 +165,7 @@ class PortSet:
     judge: object  # (question, reference, prediction) -> (verdict, score)
 
 
-def stub_ports(n: int = 4, d: int = 32, text_dim: int = 256) -> PortSet:
+def stub_ports(n: int = 4, d: int = 32, text_dim: int = TEXT_DIM) -> PortSet:
     return PortSet(
         frame_encoder=StubFrameEncoder(n=n, d=d),
         text_encoder=StubTextEncoder(dim=text_dim),

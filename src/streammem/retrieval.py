@@ -149,25 +149,24 @@ def assemble_context(snapshot: MemorySnapshot, q: QueryVec, cfg) -> PromptBundle
     )
 
 
-def _matrix_json(m: np.ndarray, verbose: bool):
-    if verbose:
-        return {"shape": list(m.shape), "values": m.tolist()}
+def _matrix_json(m: np.ndarray) -> dict:
+    """A matrix by its shape and a hash of its raw float64 bytes."""
     digest = hashlib.sha256(np.ascontiguousarray(m, dtype=np.float64).tobytes()).hexdigest()
     return {"shape": list(m.shape), "digest": digest[:16]}
 
 
-def bundle_to_json(bundle: PromptBundle, verbose: bool = False) -> dict:
+def bundle_to_json(bundle: PromptBundle) -> dict:
     return {
         "question": bundle.question,
         "short_term": [
             {
                 "timestamp": e.source_timestamp,
                 "tags": list(e.source_tags),
-                "tokens": _matrix_json(e.tokens, verbose),
+                "tokens": _matrix_json(e.tokens),
             }
             for e in bundle.short_term
         ],
-        "tree_tokens": [_matrix_json(m, verbose) for m in bundle.tree_tokens],
+        "tree_tokens": [_matrix_json(m) for m in bundle.tree_tokens],
         "path": [
             {"level": s.level, "index": s.index, "similarity": s.similarity}
             for s in bundle.path.steps
@@ -186,7 +185,7 @@ def bundle_to_json(bundle: PromptBundle, verbose: bool = False) -> dict:
 
 
 def bundle_digest(bundle: PromptBundle) -> str:
-    """Content hash over the fully materialized bundle, for replay checks."""
-    doc = bundle_to_json(bundle, verbose=True)
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Content hash of `bundle_to_json`, the form the remote generator
+    receives, for replay checks; every matrix enters through its hash."""
+    payload = json.dumps(bundle_to_json(bundle), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -373,3 +373,23 @@ class TestCli:
         assert main(["run", str(trace_path), "--out", str(tmp_path / "out")]) == 2
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ({"kind": "synthetic", "spec": {}}, "lacks field 'scenes'"),
+            ({"kind": "synthetic"}, "needs a 'spec'"),
+            ({"kind": "synthetic", "spec": {"scenes": [
+                {"tags": ["kitchen"], "duration": "x", "motion": 0.5}]}}, "bad synthetic spec"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "frame_size": 0}}, "frame_size"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "max_shift": "x"}}, "bad synthetic spec"),
+            ({"kind": "dir"}, "needs a 'path'"),
+            (["synthetic"], "'source' object"),
+        ],
+    )
+    def test_malformed_trace_header_exits_2(self, tmp_path, capsys, source, message):
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text(json.dumps({"type": "header", "source": source}) + "\n")
+        assert main(["run", str(trace_path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

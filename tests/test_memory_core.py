@@ -198,8 +198,8 @@ class TestTree:
     def test_parent_caption_unions_child_tags(self):
         tree = self.build_tree(4, small_cfg(group_size_g=2))
         top = tree.view()[-1]
-        assert top[0].caption == "scene: tag0, tag1"
-        assert top[1].caption == "scene: tag2, tag3"
+        assert top[0].caption == "tag0, tag1"
+        assert top[1].caption == "tag2, tag3"
 
     def test_chronology_enforced(self):
         cfg = small_cfg()

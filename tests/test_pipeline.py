@@ -136,6 +136,15 @@ class TestRunSim:
         for a in report.answers:
             assert a.rpd == pytest.approx(a.t_start - a.t_input)
 
+    def test_sim_answers_take_no_stream_time(self):
+        frames = moving_scene_frames()
+        queries = [QueryRequest(f"q{i} scene{i % 3}", 5.0 + 8.0 * i) for i in range(3)]
+        report = run_sim(frames, queries, small_cfg(), GateConfig(), stub_ports())
+        assert len(report.answers) == 3
+        for a in report.answers:
+            assert a.t_start == a.t_done == a.t_input
+            assert a.rpd == 0.0
+
     def test_unsorted_queries_rejected(self):
         frames = moving_scene_frames(n_scenes=1, duration=2.0)
         with pytest.raises(InputError):

@@ -105,18 +105,18 @@ class TestStubFrameEncoder:
 class TestTagCaptioner:
     def test_single_tag(self):
         chunk = make_chunk([make_embedding(0.0, tags=("kitchen",))])
-        assert TagCaptioner().caption_chunk(chunk) == "scene: kitchen"
+        assert TagCaptioner().caption_chunk(chunk) == "kitchen"
 
     def test_summary_sorted_union(self):
         cap = TagCaptioner()
-        assert cap.summarize(["scene: kitchen", "scene: garden"]) == "scene: garden, kitchen"
+        assert cap.summarize(["kitchen", "garden"]) == "garden, kitchen"
 
     def test_untagged_fallback(self):
         chunk = make_chunk([make_embedding(0.0)])
-        assert TagCaptioner().caption_chunk(chunk) == "scene: unknown"
+        assert TagCaptioner().caption_chunk(chunk) == "unknown"
 
     def test_summary_drops_unknown_when_tags_exist(self):
-        assert TagCaptioner().summarize(["scene: unknown", "scene: pier"]) == "scene: pier"
+        assert TagCaptioner().summarize(["unknown", "pier"]) == "pier"
 
 
 class TestJudge:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -260,13 +262,38 @@ class TestAssemble:
         assert len(bundle.tree_tokens) == len(snap.tree)
         assert bundle.dialogue_context == ("prev q", "prev a")
 
-    def test_json_digest_mode_hides_matrices(self):
-        rng = np.random.default_rng(6)
-        snap = self.make_snapshot(rng)
+    def make_bundle(self, seed):
+        from conftest import make_embedding
+
+        snap = self.make_snapshot(np.random.default_rng(seed), short=(make_embedding(1.0),))
         qv = np.zeros(6)
         qv[0] = 1.0
-        bundle = assemble_context(snap, QueryVec(vec=qv, text="q"), self.cfg())
-        compact = bundle_to_json(bundle)
-        verbose = bundle_to_json(bundle, verbose=True)
-        assert "digest" in compact["tree_tokens"][0]
-        assert "values" in verbose["tree_tokens"][0]
+        return assemble_context(snap, QueryVec(vec=qv, text="q"), self.cfg())
+
+    def test_json_carries_matrices_by_shape_and_hash(self):
+        bundle = self.make_bundle(6)
+        doc = bundle_to_json(bundle)
+        m = bundle.tree_tokens[0]
+        assert doc["tree_tokens"][0] == {
+            "shape": list(m.shape),
+            "digest": hashlib.sha256(m.astype(np.float64).tobytes()).hexdigest()[:16],
+        }
+        assert set(doc["short_term"][0]["tokens"]) == {"shape", "digest"}
+
+    def test_digest_covers_every_matrix_value(self):
+        bundle = self.make_bundle(7)
+        reference = bundle_digest(bundle)
+        assert bundle_digest(self.make_bundle(7)) == reference
+
+        unit = bundle.short_term[0]
+        tokens = unit.tokens.copy()
+        tokens[-1, -1] = np.nextafter(tokens[-1, -1], np.inf)
+        changed = dataclasses.replace(unit, tokens=tokens)
+        assert bundle_digest(dataclasses.replace(bundle, short_term=(changed,))) != reference
+
+        tree_tokens = list(bundle.tree_tokens)
+        tree_tokens[-1] = tree_tokens[-1].copy()
+        tree_tokens[-1][0, 0] += 1e-9
+        assert bundle_digest(
+            dataclasses.replace(bundle, tree_tokens=tuple(tree_tokens))
+        ) != reference
