@@ -66,17 +66,22 @@ def _load_configs(args) -> tuple[MemoryConfig, GateConfig]:
             overrides = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise InputError(f"config {args.config} must hold a JSON object")
         mem_fields = {f.name for f in dataclasses.fields(MemoryConfig)}
         gate_fields = {f.name for f in dataclasses.fields(GateConfig)}
-        for key, value in overrides.items():
-            if key in mem_fields:
-                mem_cfg = dataclasses.replace(mem_cfg, **{key: value})
-            elif key in gate_fields:
-                gate_cfg = dataclasses.replace(gate_cfg, **{key: value})
-            else:
-                raise InputError(f"unknown config field {key!r}")
-        if "threshold_t" in overrides:
-            gate_cfg = dataclasses.replace(gate_cfg, threshold_t=overrides["threshold_t"])
+        try:
+            for key, value in overrides.items():
+                if key in mem_fields:
+                    mem_cfg = dataclasses.replace(mem_cfg, **{key: value})
+                elif key in gate_fields:
+                    gate_cfg = dataclasses.replace(gate_cfg, **{key: value})
+                else:
+                    raise InputError(f"unknown config field {key!r}")
+            if "threshold_t" in overrides:
+                gate_cfg = dataclasses.replace(gate_cfg, threshold_t=overrides["threshold_t"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad config {args.config}: {exc}") from exc
     return mem_cfg, gate_cfg
 
 
@@ -124,10 +129,11 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             trace = harness.load_trace(args.trace)
-            values = []
-            for token in args.values.split(","):
-                token = token.strip()
-                values.append(int(token) if args.parameter in "LgC" else float(token))
+            parse = int if args.parameter in "LgC" else float
+            try:
+                values = [parse(token) for token in args.values.split(",")]
+            except ValueError as exc:
+                raise InputError(f"bad sweep value: {exc}") from exc
             out_path = Path(args.out)
             out_path.mkdir(parents=True, exist_ok=True)
             csv_path = out_path / f"sweep_{args.parameter}.csv"

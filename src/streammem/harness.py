@@ -82,12 +82,16 @@ class SceneSpec:
         wrong type is an InputError."""
         if not isinstance(doc, dict):
             raise InputError("a synthetic frame source needs a 'spec' object")
+
+        def scene(s) -> SceneDef:
+            tags = s["tags"]
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise InputError(f"scene tags must be a list of strings, got {tags!r}")
+            return SceneDef(tags=tuple(tags), duration=s["duration"], motion=s["motion"])
+
         try:
             return SceneSpec(
-                scenes=tuple(
-                    SceneDef(tags=tuple(s["tags"]), duration=s["duration"], motion=s["motion"])
-                    for s in doc["scenes"]
-                ),
+                scenes=tuple(scene(s) for s in doc["scenes"]),
                 fps=doc.get("fps", 5.0),
                 noise=doc.get("noise", 0.0),
                 seed=doc.get("seed", 0),
@@ -148,6 +152,8 @@ def synth_scenes(spec: SceneSpec):
 
 def frames_from_dir(path: str | Path, fps: float = 1.0) -> list[Frame]:
     """Grayscale PGM images ordered by filename, timestamps index/fps."""
+    if not isinstance(fps, (int, float)) or not 0 < fps < math.inf:
+        raise InputError(f"fps must be positive and finite, got {fps!r}")
     files = sorted(Path(path).glob("*.pgm"))
     if not files:
         raise InputError(f"no .pgm files in {path}")

@@ -350,7 +350,6 @@ class MemoryTree:
 
 def tree_view_to_json(view: TreeView) -> dict:
     return {
-        "format_version": 1,
         "levels": [
             [
                 {
@@ -367,26 +366,6 @@ def tree_view_to_json(view: TreeView) -> dict:
             for level in view
         ],
     }
-
-
-def tree_view_from_json(doc: dict) -> TreeView:
-    if doc.get("format_version") != 1:
-        raise InputError(f"unsupported tree format version: {doc.get('format_version')}")
-    return tuple(
-        tuple(
-            TreeNode(
-                centroids=np.array(n["centroids"], dtype=np.float64),
-                caption=n["caption"],
-                caption_vec=np.array(n["caption_vec"], dtype=np.float64),
-                span=tuple(n["span"]),
-                level=n["level"],
-                child_start=n["child_start"],
-                child_end=n["child_end"],
-            )
-            for n in level
-        )
-        for level in doc["levels"]
-    )
 
 
 def check_tree_invariants(view: TreeView, g: int) -> None:

@@ -9,10 +9,10 @@ and the threading:
   Stream time stands still while a query is answered, so a sim answer has
   `t_start == t_done == t_input` and request processing delay (`rpd`) 0:
   sim mode models no latency.
-* `Engine` runs intake and formation on two threads joined by one formation
-  inbox.  Queries read the latest published snapshot and never wait for
-  formation.  Its answer times, and so `rpd`, are measured on the monotonic
-  clock.
+* `Engine` runs intake and formation in line on one worker thread, which
+  publishes a snapshot after each write.  Queries answer on the caller's
+  thread from the latest snapshot, so they never wait for formation.  Its
+  answer times, and so `rpd`, are measured on the monotonic clock.
 """
 
 from __future__ import annotations
@@ -215,33 +215,31 @@ def run_sim(
 class Engine:
     """Live engine for wall-clock runs and the interactive mode.
 
-    Intake sends chunks, and submit_query answered turns, to one inbox that
-    formation reads in order with a blocking get.  Intake blocks while
-    CHUNK_QUEUE_BOUND chunks wait to be formed; answers take no chunk slot,
-    so a query never waits behind backpressure.  The first exception in
-    either thread stops intake and is raised again by submit_query and stop.
+    One worker thread pulls frames and forms memory in line: each completed
+    chunk is written and a new snapshot published before the next frame is
+    pulled.  submit_query answers on the caller's thread from the latest
+    snapshot, so a query never waits for formation, and sends its turn to an
+    inbox that the worker forms before its next frame, or with a blocking
+    get once the source is exhausted.  The first stage failure stops intake
+    and is raised again by submit_query and stop.
     """
-
-    CHUNK_QUEUE_BOUND = 4
 
     def __init__(self, mem_cfg: MemoryConfig, gate_cfg: GateConfig, ports: PortSet):
         self.mem_cfg = mem_cfg
         self.gate_cfg = gate_cfg
-        self.ports = ports
         self._origin = time.monotonic()
         self._stages = Stages(mem_cfg, gate_cfg, ports)
         self._snapshot = self._stages.store.snapshot()
-        # chunks, answer records and finally None (stop), in arrival order
+        # answer records and finally None (stop), in arrival order
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        # guards the fields below; notified whenever one of them changes
+        # guards _progress; notified when it changes or the source is done
         self._cond = threading.Condition()
-        self._chunks_pending = 0  # sent to formation, not yet formed
         self._progress = float("-inf")  # timestamp of the last frame pulled
-        self._error: Exception | None = None  # first failure in a thread
+        self._error: Exception | None = None  # first stage failure
         self._source_done = threading.Event()
         self._stopped = False
         self.last_path = None  # PathResult of the most recent query, for display
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
 
     @property
     def frames_in(self) -> int:
@@ -255,80 +253,50 @@ class Engine:
         return time.monotonic() - self._origin
 
     def latest_snapshot(self):
-        return self._snapshot  # swapped whole by formation, never mutated
+        return self._snapshot  # swapped whole by the worker, never mutated
 
-    def _fail(self, exc: Exception) -> None:
-        with self._cond:
-            if self._error is None:
-                self._error = exc
-            self._cond.notify_all()
+    # -- the worker ----------------------------------------------------------
 
-    # -- threads -------------------------------------------------------------
+    def _form(self, item: Chunk | AnswerRecord | None) -> None:
+        if item is not None:
+            self._stages.form(item)
+            self._snapshot = self._stages.store.snapshot()
 
-    def _intake(self, source) -> None:
+    def _work(self, source) -> None:
         try:
             for frame in source:
                 with self._cond:
-                    if self._error is not None:
-                        return
                     self._progress = frame.timestamp
                     self._cond.notify_all()
-                chunk = self._stages.intake(frame)
-                if chunk is not None:
-                    self._send(chunk)
-            final = self._stages.buf.flush()
-            if final is not None:
-                self._send(final)
+                while not self._inbox.empty():  # no other thread reads it: get never blocks
+                    self._form(self._inbox.get())
+                self._form(self._stages.intake(frame))
+            self._form(self._stages.buf.flush())
         except Exception as exc:
-            self._fail(exc)
+            self._error = exc
         finally:
             with self._cond:
                 self._source_done.set()
                 self._cond.notify_all()
-
-    def _send(self, chunk: Chunk) -> None:
-        """Hand a chunk to formation once a slot is free (backpressure)."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: self._chunks_pending < self.CHUNK_QUEUE_BOUND or self._error is not None
-            )
-            if self._error is not None:
-                return
-            self._chunks_pending += 1
-        self._inbox.put(chunk)
-
-    def _formation(self) -> None:
-        # after a failure, keep draining so that intake never blocks on us
+        # after a failure, keep reading so that stop's None is always seen
         while (item := self._inbox.get()) is not None:
             if self._error is None:
                 try:
-                    self._stages.form(item)
-                    self._snapshot = self._stages.store.snapshot()
+                    self._form(item)
                 except Exception as exc:
-                    self._fail(exc)
-            if isinstance(item, Chunk):
-                with self._cond:
-                    self._chunks_pending -= 1
-                    self._cond.notify_all()
+                    self._error = exc
 
     def _wait_progress(self, t: float) -> None:
-        """Block until intake has pulled a frame at or after stream time `t`,
-        the source is exhausted or a stage failed."""
+        """Block until the worker has pulled a frame at or after stream time
+        `t`, or the source is exhausted (which a stage failure also ends)."""
         with self._cond:
-            self._cond.wait_for(
-                lambda: self._progress >= t
-                or self._source_done.is_set()
-                or self._error is not None
-            )
+            self._cond.wait_for(lambda: self._progress >= t or self._source_done.is_set())
 
     # -- public API ----------------------------------------------------------
 
     def start(self, source) -> None:
-        intake = threading.Thread(target=self._intake, args=(source,), name="frame-intake")
-        formation = threading.Thread(target=self._formation, name="memory-formation")
-        self._threads = [intake, formation]
-        formation.start()
-        intake.start()
+        self._thread = threading.Thread(target=self._work, args=(source,), name="stream-worker")
+        self._thread.start()
 
     def submit_query(self, question: str) -> AnswerRecord:
         if self._error is not None:
@@ -346,15 +314,14 @@ class Engine:
         return self._source_done.wait(timeout)
 
     def stop(self) -> None:
-        """Let intake finish the source, form everything sent so far, join
-        both threads, and raise the first stage failure, if any."""
+        """Let the worker finish the source and form every turn sent so far,
+        join it, and raise the first stage failure, if any."""
         if not self._stopped:
             self._stopped = True
-            if self._threads:
-                intake, formation = self._threads
-                intake.join()
+            if self._thread is not None:
+                self._source_done.wait()
                 self._inbox.put(None)
-                formation.join()
+                self._thread.join()
         if self._error is not None:
             raise self._error
 

@@ -321,6 +321,27 @@ class TestCli:
         cfg_path.write_text('{"bogus_field": 1}')
         assert main(["run", str(trace_path), "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "config,message",
+        [("[1]", "must hold a JSON object"), ('{"chunk_len_L": "x"}', "bad config")],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
+        trace_path = tmp_path / "trace.jsonl"
+        main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        assert main(["run", str(trace_path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_sweep_value_exits_2(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
+        assert main(["sweep", str(trace_path), "L", "3,x", "--out", str(tmp_path / "out")]) == 2
+        assert "bad sweep value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_override_applies(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
@@ -385,6 +406,11 @@ class TestCli:
             ({"kind": "synthetic", "spec": {"scenes": [], "max_shift": "x"}}, "bad synthetic spec"),
             ({"kind": "dir"}, "needs a 'path'"),
             (["synthetic"], "'source' object"),
+            ({"kind": "synthetic", "spec": {"scenes": [
+                {"tags": "kitchen", "duration": 4.0, "motion": 0.5}]}}, "list of strings"),
+            ({"kind": "synthetic", "spec": {"scenes": [
+                {"tags": ["kitchen", 3], "duration": 4.0, "motion": 0.5}]}}, "list of strings"),
+            ({"kind": "dir", "path": ".", "fps": 0}, "fps must be positive"),
         ],
     )
     def test_malformed_trace_header_exits_2(self, tmp_path, capsys, source, message):

@@ -20,8 +20,6 @@ from streammem.memory_core import (
     kmeans,
     make_unit,
     refresh_short_term,
-    tree_view_from_json,
-    tree_view_to_json,
 )
 from streammem.ports import StubTextEncoder, TagCaptioner
 
@@ -208,17 +206,6 @@ class TestTree:
         tree.append(make_unit(chunk_at(10.0), cfg, 0, captioner, encoder), captioner, encoder)
         with pytest.raises(InputError):
             tree.append(make_unit(chunk_at(0.0), cfg, 1, captioner, encoder), captioner, encoder)
-
-    def test_json_roundtrip(self):
-        tree = self.build_tree(5, small_cfg(group_size_g=2))
-        doc = tree_view_to_json(tree.view())
-        view = tree_view_from_json(doc)
-        assert tree_view_to_json(view) == doc
-        check_tree_invariants(view, g=2)
-
-    def test_unsupported_format_version(self):
-        with pytest.raises(InputError):
-            tree_view_from_json({"format_version": 99, "levels": []})
 
 
 class TestDialogue:

@@ -330,6 +330,19 @@ class TestWallFailures:
         with pytest.raises(BackendError):
             engine.submit_query("anything")
 
+    def test_failing_dialogue_write_after_source_is_raised(self):
+        ports = stub_ports()
+        ports.text_encoder = DialogueFailingTextEncoder(ports.text_encoder)
+        engine = Engine(small_cfg(), GateConfig(), ports)
+        engine.start(iter(moving_scene_frames(n_scenes=1, duration=2.0)))
+        assert engine.wait_source_done(10.0)
+        assert engine.submit_query("scene0 now").error is None
+        _, error = finish_within(engine.stop, 10.0)
+        assert isinstance(error, BackendError)
+        assert "text encoder down" in str(error)
+        with pytest.raises(BackendError):
+            engine.submit_query("anything")
+
     def test_cli_wall_run_against_unreachable_backend_exits_3(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         save_trace(gen_trace(num_scenes=2, scene_duration=6.0), trace_path)
@@ -348,7 +361,7 @@ class TestWallFailures:
 
 
 class TestWallScheduling:
-    def test_intake_blocks_while_chunks_are_pending(self):
+    def test_intake_never_runs_ahead_of_formation(self):
         release = threading.Event()
 
         class BlockingCaptioner(TagCaptioner):
@@ -370,8 +383,9 @@ class TestWallScheduling:
         engine.start(source())
         try:
             assert not engine.wait_source_done(0.5)
-            assert len(pulled) <= (Engine.CHUNK_QUEUE_BOUND + 2) * cfg.chunk_len_L
-            # a query answers while intake is blocked on backpressure
+            # the first chunk is being formed, and no frame past it was pulled
+            assert len(pulled) == cfg.chunk_len_L
+            # a query answers while formation is blocked
             record, error = finish_within(lambda: engine.submit_query("scene0 now"), 10.0)
             assert error is None and record.error is None
         finally:
@@ -380,8 +394,22 @@ class TestWallScheduling:
         assert error is None
         assert engine.frames_in == len(frames)
 
+    @pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
+    def test_one_thread_that_stop_ends(self, failing):
+        ports = stub_ports()
+        if failing:
+            ports = dataclasses.replace(ports, captioner=FailingCaptioner())
+        engine = Engine(small_cfg(), GateConfig(), ports)
+        before = set(threading.enumerate())
+        engine.start(iter(moving_scene_frames()))
+        started = set(threading.enumerate()) - before
+        _, error = finish_within(engine.stop, 10.0)
+        assert len(started) == 1
+        assert isinstance(error, BackendError) if failing else error is None
+        assert not set(threading.enumerate()) - before
+
     def test_every_answer_before_stop_reaches_dialogue(self):
-        # four query threads beside intake and formation, with frequent thread
+        # four query threads beside the stream worker, with frequent thread
         # switches: a lost or reordered inbox item would break the assertions
         cfg = small_cfg()
         engine = Engine(cfg, GateConfig(), stub_ports())
