@@ -26,20 +26,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", choices=sorted(PRESETS), default="base")
         p.add_argument("--config", metavar="FILE", help="JSON file overriding config fields")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--clock", choices=["sim", "wall"], default="sim")
         p.add_argument("--backend", choices=["stub", "remote"], default="stub")
         p.add_argument("--remote-url", default="http://localhost:8099")
+
+    def add_replay(p):
+        add_common(p)
+        p.add_argument("--clock", choices=["sim", "wall"], default="sim")
         p.add_argument("--out", metavar="DIR", default="out")
 
     run_p = sub.add_parser("run", help="replay a trace and write report + transcript")
     run_p.add_argument("trace", help="trace JSONL path")
-    add_common(run_p)
+    add_replay(run_p)
 
     sweep_p = sub.add_parser("sweep", help="run a parameter sweep, emit CSV")
     sweep_p.add_argument("trace")
     sweep_p.add_argument("parameter", choices=sorted(harness.SWEEP_PARAMS))
     sweep_p.add_argument("values", help="comma-separated values")
-    add_common(sweep_p)
+    add_replay(sweep_p)
 
     repl_p = sub.add_parser("repl", help="interactive queries over a live stream")
     add_common(repl_p)

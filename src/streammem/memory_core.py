@@ -10,10 +10,9 @@ node references stays valid forever.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,17 +113,9 @@ def refresh_short_term(
     pool = list(recent[-cfg.candidate_len_N :])
     weights = forgetting_weights(len(pool), cfg.forgetting_scale_s)
     # ages run newest=0; pool is newest-last, so reverse the weight vector.
-    probs = weights[::-1].copy()
+    probs = weights[::-1]
     size = min(cfg.short_len_S, len(pool))
-    chosen: list[int] = []
-    available = list(range(len(pool)))
-    p = probs.copy()
-    for _ in range(size):
-        pick = int(rng.choice(len(available), p=p / p.sum()))
-        chosen.append(available[pick])
-        del available[pick]
-        p = np.delete(p, pick)
-    chosen.sort()  # chronological order
+    chosen = np.sort(rng.choice(len(pool), size, replace=False, p=probs))  # chronological
     return ShortTermMemory(units=tuple(pool[i] for i in chosen))
 
 
@@ -132,15 +123,22 @@ def refresh_short_term(
 # k-means
 
 
+N_INIT = 8  # k-means++ restarts; the lowest objective wins
+MAX_ITER = 50  # Lloyd steps per restart
+
+
 @dataclass(frozen=True)
 class KMeansResult:
     centroids: np.ndarray  # k' x d
-    labels: np.ndarray  # m, indices into centroids
     objective: float
     objective_history: tuple[float, ...]  # per Lloyd iteration, non-increasing
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+
+
+def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     m = points.shape[0]
     # k-means++ seeding
     first = int(rng.integers(m))
@@ -156,40 +154,35 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, max_iter:
         d2 = np.minimum(d2, np.sum((points - centroids[-1]) ** 2, axis=1))
     centers = np.array(centroids)
 
-    labels = np.zeros(m, dtype=np.int64)
+    # each Lloyd step assigns by the distances to the centers the previous
+    # step computed, updates the centers, and measures the new ones once
+    dists = _sq_dists(points, centers)
+    nearest = np.argmin(dists, axis=1)
+    labels = np.zeros(m, dtype=np.int64)  # the previous step's assignment
     history: list[float] = []
-    for _ in range(max_iter):
-        dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dists, axis=1)
+    for _ in range(MAX_ITER):
         # update step with empty-cluster reseed to the farthest point
         new_centers = centers.copy()
         for c in range(k):
-            mask = new_labels == c
+            mask = nearest == c
             if mask.any():
                 new_centers[c] = points[mask].mean(axis=0)
             else:
                 far = int(np.argmax(np.min(dists, axis=1)))
                 new_centers[c] = points[far]
-                new_labels[far] = c
-        dists = np.sum((points[:, None, :] - new_centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        obj = float(dists[np.arange(m), new_labels].sum())
-        history.append(obj)
-        stable = np.array_equal(new_labels, labels)
-        centers, labels = new_centers, new_labels
-        if stable:
+                nearest[far] = c
+        dists = _sq_dists(points, new_centers)
+        nearest = np.argmin(dists, axis=1)
+        history.append(float(dists[np.arange(m), nearest].sum()))
+        centers = new_centers
+        if np.array_equal(nearest, labels):
             break
-    return centers, labels, history[-1], history
+        labels = nearest.copy()  # the next update step may reseed `nearest`
+    return centers, history
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 50,
-    n_init: int = 8,
-) -> KMeansResult:
-    """Seeded Lloyd's with k-means++ initialization, best of `n_init` restarts.
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
+    """Seeded Lloyd's with k-means++ initialization, best of `N_INIT` restarts.
 
     Points are canonicalized (lexicographically sorted) before seeding so the
     result is invariant under input row permutation for a fixed seed.
@@ -203,29 +196,20 @@ def kmeans(
     if not np.isfinite(points).all():
         raise InputError("non-finite values in clustering input")
 
-    order = np.lexsort(points.T[::-1])  # canonical row order
-    canon = points[order]
+    canon = points[np.lexsort(points.T[::-1])]  # canonical row order
     distinct = np.unique(canon, axis=0)
-    k_eff = min(k, distinct.shape[0])
-
-    if k_eff == distinct.shape[0]:
-        # one centroid per distinct point: exact, objective only from duplicates
-        centers = distinct
-        dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(dists, axis=1)
-        obj = float(dists[np.arange(points.shape[0]), labels].sum())
-        return KMeansResult(centers, labels, obj, (obj,))
+    if k >= distinct.shape[0]:
+        # one centroid per distinct point: every point sits on its centroid
+        return KMeansResult(distinct, 0.0, (0.0,))
 
     best = None
-    for trial in range(n_init):
+    for trial in range(N_INIT):
         rng = np.random.default_rng(derive_seed(seed, "kmeans-init", trial))
-        centers, labels_c, obj, history = _kmeans_once(canon, k_eff, rng, max_iter)
-        if best is None or obj < best[2] - 1e-12:
-            best = (centers, labels_c, obj, history)
-    centers, labels_c, obj, history = best
-    labels = np.empty(points.shape[0], dtype=np.int64)
-    labels[order] = labels_c
-    return KMeansResult(centers, labels, obj, tuple(history))
+        centers, history = _kmeans_once(canon, k, rng)
+        if best is None or history[-1] < best[1][-1] - 1e-12:
+            best = (centers, history)
+    centers, history = best
+    return KMeansResult(centers, history[-1], tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +277,6 @@ class MemoryTree:
     def __init__(self, cfg: MemoryConfig):
         self.cfg = cfg
         self.levels: list[list[TreeNode]] = [[]]
-        self._parent_counter = 0
 
     def __len__(self) -> int:
         return len(self.levels[0])
@@ -316,18 +299,19 @@ class MemoryTree:
             if parents and parents[-1].child_start >= (needed - 1) * g:
                 parents.pop()
             while len(parents) < needed:
-                idx = len(parents)
-                start, end = idx * g, min((idx + 1) * g, len(children))
                 parents.append(
-                    self._build_parent(children[start:end], level + 1, start, end,
-                                       captioner, text_encoder)
+                    self._build_parent(children, level + 1, len(parents), captioner, text_encoder)
                 )
             level += 1
 
-    def _build_parent(self, children, level, start, end, captioner, text_encoder):
+    def _build_parent(self, below, level, index, captioner, text_encoder):
+        """Build parent `index` of `level` over its (up to g) children in
+        `below`; its draws are seeded by that position alone."""
+        g = self.cfg.group_size_g
+        start, end = index * g, min((index + 1) * g, len(below))
+        children = below[start:end]
         points = np.vstack([c.centroids for c in children])
-        seed = derive_seed(self.cfg.rng_seed, f"parent-l{level}", self._parent_counter)
-        self._parent_counter += 1
+        seed = derive_seed(self.cfg.rng_seed, f"parent-l{level}", index)
         result = kmeans(points, self.cfg.cluster_goal_C, seed)
         caption = captioner.summarize([c.caption for c in children])
         caption_vec = np.asarray(text_encoder(caption), dtype=np.float64)
@@ -466,18 +450,13 @@ class MemoryStore:
         self.dialogue = DialogueMemory()
         self.recent: deque[VisionEmbedding] = deque(maxlen=cfg.candidate_len_N)
         self.version = 0
-        self._chunk_index = 0
-        self._refresh_count = 0
 
     def on_chunk(self, chunk: Chunk) -> None:
+        index = len(self.tree)  # the chunk's position, which seeds its draws
         self.recent.extend(chunk.embeddings)
-        unit = make_unit(chunk, self.cfg, self._chunk_index, self.captioner, self.text_encoder)
-        self._chunk_index += 1
+        unit = make_unit(chunk, self.cfg, index, self.captioner, self.text_encoder)
         self.tree.append(unit, self.captioner, self.text_encoder)
-        rng = np.random.default_rng(
-            derive_seed(self.cfg.rng_seed, "short-refresh", self._refresh_count)
-        )
-        self._refresh_count += 1
+        rng = np.random.default_rng(derive_seed(self.cfg.rng_seed, "short-refresh", index))
         self.short = refresh_short_term(list(self.recent), self.cfg, rng)
         self.version += 1
 

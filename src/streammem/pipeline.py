@@ -220,8 +220,10 @@ class Engine:
     pulled.  submit_query answers on the caller's thread from the latest
     snapshot, so a query never waits for formation, and sends its turn to an
     inbox that the worker forms before its next frame, or with a blocking
-    get once the source is exhausted.  The first stage failure stops intake
-    and is raised again by submit_query and stop.
+    get once intake has ended.  Intake ends with the source, at stop, or at
+    the first stage failure, which is raised again by submit_query and stop.
+    The worker is a daemon thread, so an engine that is never stopped does
+    not keep the interpreter alive.
     """
 
     def __init__(self, mem_cfg: MemoryConfig, gate_cfg: GateConfig, ports: PortSet):
@@ -232,7 +234,8 @@ class Engine:
         self._snapshot = self._stages.store.snapshot()
         # answer records and finally None (stop), in arrival order
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        # guards _progress; notified when it changes or the source is done
+        # guards _progress and _stopped; notified when _progress changes or
+        # intake ends
         self._cond = threading.Condition()
         self._progress = float("-inf")  # timestamp of the last frame pulled
         self._error: Exception | None = None  # first stage failure
@@ -271,6 +274,8 @@ class Engine:
                 while not self._inbox.empty():  # no other thread reads it: get never blocks
                     self._form(self._inbox.get())
                 self._form(self._stages.intake(frame))
+                if self._stopped:
+                    break
             self._form(self._stages.buf.flush())
         except Exception as exc:
             self._error = exc
@@ -286,16 +291,12 @@ class Engine:
                 except Exception as exc:
                     self._error = exc
 
-    def _wait_progress(self, t: float) -> None:
-        """Block until the worker has pulled a frame at or after stream time
-        `t`, or the source is exhausted (which a stage failure also ends)."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._progress >= t or self._source_done.is_set())
-
     # -- public API ----------------------------------------------------------
 
     def start(self, source) -> None:
-        self._thread = threading.Thread(target=self._work, args=(source,), name="stream-worker")
+        self._thread = threading.Thread(
+            target=self._work, args=(source,), name="stream-worker", daemon=True
+        )
         self._thread.start()
 
     def submit_query(self, question: str) -> AnswerRecord:
@@ -307,21 +308,34 @@ class Engine:
             question, self._now(), self.latest_snapshot(), now=self._now
         )
         if record.error is None:
-            self._inbox.put(record)
+            with self._cond:
+                # a turn sent after stop's final None would never be formed
+                if self._stopped:
+                    raise InputError("engine stopped; no further queries accepted")
+                self._inbox.put(record)
         return record
 
+    def wait_progress(self, t: float) -> None:
+        """Block until the worker has pulled a frame at or after stream time
+        `t`, or intake has ended (which stop and a stage failure also do)."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._progress >= t or self._source_done.is_set())
+
     def wait_source_done(self, timeout: float | None = None) -> bool:
+        """Block until intake has ended; False if `timeout` passed first."""
         return self._source_done.wait(timeout)
 
     def stop(self) -> None:
-        """Let the worker finish the source and form every turn sent so far,
-        join it, and raise the first stage failure, if any."""
-        if not self._stopped:
-            self._stopped = True
-            if self._thread is not None:
-                self._source_done.wait()
-                self._inbox.put(None)
-                self._thread.join()
+        """End intake at the next frame boundary, flush the partial chunk,
+        form every turn sent so far, join the worker, and raise the first
+        stage failure, if any.  A source blocked inside next() holds stop
+        until it yields."""
+        with self._cond:
+            first, self._stopped = not self._stopped, True
+        if first and self._thread is not None:
+            self._source_done.wait()
+            self._inbox.put(None)
+            self._thread.join()
         if self._error is not None:
             raise self._error
 
@@ -337,16 +351,17 @@ def run_wall(
     gate_cfg: GateConfig,
     ports: PortSet,
 ) -> RunReport:
-    """Stream frames as fast as the stages allow; each query fires once the
-    source has progressed past its submission timestamp.  A stage failure
-    is raised."""
+    """Stream the whole source as fast as the stages allow; each query fires
+    once the source has progressed past its submission timestamp.  A stage
+    failure is raised."""
     engine = Engine(mem_cfg, gate_cfg, ports)
     engine.start(frames)
     answers: list[AnswerRecord] = []
     try:
         for req in queries:
-            engine._wait_progress(req.t_input)
+            engine.wait_progress(req.t_input)
             answers.append(engine.submit_query(req.question))
+        engine.wait_source_done()
     finally:
         engine.stop()
     return engine.report(answers)

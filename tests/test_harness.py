@@ -274,8 +274,25 @@ class TestRepl:
         final = json.loads(text.strip().splitlines()[-1])
         assert final["clock_mode"] == "wall"
 
+    def test_quit_ends_a_long_stream_early(self):
+        spec = SceneSpec(scenes=tuple(
+            SceneDef(tags=(f"scene{i}",), duration=20.0, motion=0.5) for i in range(20)
+        ))
+        frames, _ = synth_scenes(spec)
+        report = repl(MemoryConfig(), GateConfig(), stub_ports(), spec,
+                      stdin=io.StringIO("quit\n"), stdout=io.StringIO())
+        assert 0 < report.frames_in < len(frames)
+
 
 class TestCli:
+    @pytest.mark.parametrize("flag", [["--out", "x"], ["--clock", "wall"]], ids=lambda f: f[0])
+    def test_repl_rejects_replay_flags(self, flag, capsys):
+        # repl always streams in wall-clock mode and writes no files
+        with pytest.raises(SystemExit) as exc:
+            main(["repl", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_gen_trace_then_run(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         assert main([

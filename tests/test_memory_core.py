@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_embedding
 from oracles import best_partition_objective, iterated_ceil_sizes
+from streammem import memory_core
 from streammem.errors import InputError
 from streammem.frame_gate import make_chunk
 from streammem.memory_core import (
@@ -16,6 +17,7 @@ from streammem.memory_core import (
     MemoryTree,
     PRESETS,
     check_tree_invariants,
+    derive_seed,
     forgetting_weights,
     kmeans,
     make_unit,
@@ -98,6 +100,23 @@ class TestShortTerm:
         freqs = counts / trials
         # ages: newest (t=2) has weight 0.665
         assert np.allclose(freqs[::-1], [0.66524, 0.24473, 0.09003], atol=0.02)
+
+    def test_pair_frequency_is_successive_sampling(self):
+        # S=2 of 3: a pair {i, j} is drawn as i then j, or as j then i, each
+        # later pick proportional to the weight left
+        recent = [make_embedding(float(i)) for i in range(3)]
+        cfg = MemoryConfig(short_len_S=2, candidate_len_N=20, forgetting_scale_s=1.0)
+        p = forgetting_weights(3, 1.0)[::-1]  # chronological order, newest last
+        rng = np.random.default_rng(43)
+        trials = 30_000
+        counts = {}
+        for _ in range(trials):
+            pair = tuple(int(u.source_timestamp) for u in refresh_short_term(recent, cfg, rng).units)
+            counts[pair] = counts.get(pair, 0) + 1
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            expected = p[i] * p[j] / (1 - p[i]) + p[j] * p[i] / (1 - p[j])
+            assert abs(counts.get((i, j), 0) / trials - expected) <= 0.015, (i, j)
+        assert sum(counts.values()) == trials
 
 
 class TestKMeans:
@@ -192,6 +211,26 @@ class TestTree:
     def test_parent_spans_cover_children(self):
         tree = self.build_tree(7, small_cfg(group_size_g=2))
         check_tree_invariants(tree.view(), g=2)
+
+    def test_parents_are_seeded_by_position(self, monkeypatch):
+        # a parent's centroids come from the kmeans call that last built it;
+        # its seed must name the parent's (level, index), however many times
+        # the trailing parent was rebuilt on the way
+        builds = []
+        real_kmeans = memory_core.kmeans
+
+        def recording_kmeans(points, k, seed):
+            result = real_kmeans(points, k, seed)
+            builds.append((seed, result))
+            return result
+
+        monkeypatch.setattr(memory_core, "kmeans", recording_kmeans)
+        cfg = small_cfg(group_size_g=10)
+        view = self.build_tree(25, cfg).view()
+        assert [len(level) for level in view] == [25, 3]
+        seed_of = {id(result.centroids): seed for seed, result in builds}
+        for index, parent in enumerate(view[1]):
+            assert seed_of[id(parent.centroids)] == derive_seed(cfg.rng_seed, "parent-l1", index)
 
     def test_parent_caption_unions_child_tags(self):
         tree = self.build_tree(4, small_cfg(group_size_g=2))

@@ -1,7 +1,12 @@
 import dataclasses
+import itertools
+import os
 import socket
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +395,7 @@ class TestWallScheduling:
             assert error is None and record.error is None
         finally:
             release.set()
+            assert engine.wait_source_done(10.0)
             _, error = finish_within(engine.stop, 10.0)
         assert error is None
         assert engine.frames_in == len(frames)
@@ -454,3 +460,75 @@ class TestWallScheduling:
             counts.append((report.frames_kept, captioner.chunks))
         assert counts[0] == counts[1]
         assert counts[0][1] == -(-counts[0][0] // cfg.chunk_len_L)
+
+
+def endless_frames():
+    """The frames of a short synthetic stream, repeated with ever later
+    timestamps: a source that never ends."""
+    frames = moving_scene_frames(n_scenes=2, duration=4.0)
+    period = frames[-1].timestamp + 1.0
+    for lap in itertools.count():
+        for frame in frames:
+            yield dataclasses.replace(frame, timestamp=frame.timestamp + lap * period)
+
+
+class TestStop:
+    def test_stop_ends_an_endless_source(self):
+        engine = Engine(small_cfg(), GateConfig(), stub_ports())
+        engine.start(endless_frames())
+        engine.wait_progress(20.0)
+        records = [engine.submit_query(f"what is in scene{i}") for i in range(3)]
+        _, error = finish_within(engine.stop, 1.0)
+        assert error is None
+        assert engine.wait_source_done(0.0)
+        turns = [(e.question, e.answer) for e in engine.latest_snapshot().dialogue]
+        assert turns == [(r.question, r.answer) for r in records]
+
+    def test_turn_answered_during_stop_is_formed_or_refused(self):
+        # a client keeps asking while stop runs: each record it was given
+        # must be in the final dialogue, and the rest must be refused
+        engine = Engine(small_cfg(), GateConfig(), stub_ports())
+        engine.start(iter(moving_scene_frames(n_scenes=1, duration=2.0)))
+        assert engine.wait_source_done(10.0)
+        records = []
+        asking = threading.Event()
+
+        def client():
+            try:
+                while True:
+                    records.append(engine.submit_query("what is in scene0"))
+                    asking.set()
+            except InputError:
+                pass
+
+        thread = threading.Thread(target=client, daemon=True)
+        thread.start()
+        assert asking.wait(10.0)
+        _, error = finish_within(engine.stop, 10.0)
+        thread.join(10.0)
+        assert error is None and not thread.is_alive()
+        assert len(engine.latest_snapshot().dialogue) == len(records)
+
+    def test_unstopped_engine_lets_the_interpreter_exit(self):
+        # the worker then waits forever for turns: only a daemon lets the
+        # process end
+        script = textwrap.dedent("""
+            from streammem.frame_gate import GateConfig
+            from streammem.harness import SceneDef, SceneSpec, synth_scenes
+            from streammem.memory_core import MemoryConfig
+            from streammem.pipeline import Engine
+            from streammem.ports import stub_ports
+
+            scene = SceneDef(tags=("kitchen",), duration=4.0, motion=0.5)
+            frames, _ = synth_scenes(SceneSpec(scenes=(scene,)))
+            engine = Engine(MemoryConfig(chunk_len_L=5), GateConfig(), stub_ports())
+            engine.start(iter(frames))
+            assert engine.wait_source_done(10.0)
+            assert engine.submit_query("what is in the kitchen scene").error is None
+        """)
+        src = str(Path(sys.modules[Engine.__module__].__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=30,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
