@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import harness
 from .errors import BackendError, InputError
-from .frame_gate import GateConfig
 from .memory_core import PRESETS, MemoryConfig
 from .ports import RemoteBackendConfig, remote_ports, stub_ports
 
@@ -24,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--preset", choices=sorted(PRESETS), default="base")
-        p.add_argument("--config", metavar="FILE", help="JSON file overriding config fields")
+        p.add_argument("--config", metavar="FILE", help="JSON file overriding MemoryConfig fields")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--backend", choices=["stub", "remote"], default="stub")
         p.add_argument("--remote-url", default="http://localhost:8099")
@@ -60,32 +59,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_configs(args) -> tuple[MemoryConfig, GateConfig]:
-    mem_cfg = PRESETS[args.preset]
-    mem_cfg = dataclasses.replace(mem_cfg, rng_seed=args.seed)
-    gate_cfg = GateConfig(threshold_t=mem_cfg.threshold_t)
+def _load_config(args) -> MemoryConfig:
+    """The preset with --seed and then the --config file's fields applied
+    together, so that the fields are checked as one config."""
+    overrides = {"rng_seed": args.seed}
     if args.config:
         try:
-            overrides = json.loads(Path(args.config).read_text())
+            from_file = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(overrides, dict):
+        if not isinstance(from_file, dict):
             raise InputError(f"config {args.config} must hold a JSON object")
-        mem_fields = {f.name for f in dataclasses.fields(MemoryConfig)}
-        gate_fields = {f.name for f in dataclasses.fields(GateConfig)}
-        try:
-            for key, value in overrides.items():
-                if key in mem_fields:
-                    mem_cfg = dataclasses.replace(mem_cfg, **{key: value})
-                elif key in gate_fields:
-                    gate_cfg = dataclasses.replace(gate_cfg, **{key: value})
-                else:
-                    raise InputError(f"unknown config field {key!r}")
-            if "threshold_t" in overrides:
-                gate_cfg = dataclasses.replace(gate_cfg, threshold_t=overrides["threshold_t"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad config {args.config}: {exc}") from exc
-    return mem_cfg, gate_cfg
+        fields = {f.name for f in dataclasses.fields(MemoryConfig)}
+        for key in from_file:
+            if key not in fields:
+                raise InputError(f"unknown config field {key!r}")
+        overrides.update(from_file)
+    try:
+        return dataclasses.replace(PRESETS[args.preset], **overrides)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad config {args.config}: {exc}") from exc
 
 
 def _build_ports(args):
@@ -110,13 +103,13 @@ def main(argv=None) -> int:
             print(f"wrote {args.out_file} ({len(trace.queries)} queries)")
             return 0
 
-        mem_cfg, gate_cfg = _load_configs(args)
+        mem_cfg = _load_config(args)
         ports = _build_ports(args)
 
         if args.command == "run":
             trace = harness.load_trace(args.trace)
             report, metrics, _ = harness.run_benchmark(
-                trace, mem_cfg, gate_cfg, ports, out_dir=args.out, clock_mode=args.clock
+                trace, mem_cfg, ports, out_dir=args.out, clock_mode=args.clock
             )
             print(
                 f"frames_in={report.frames_in} frames_kept={report.frames_kept} "
@@ -141,7 +134,7 @@ def main(argv=None) -> int:
             out_path.mkdir(parents=True, exist_ok=True)
             csv_path = out_path / f"sweep_{args.parameter}.csv"
             harness.sweep(
-                trace, args.parameter, values, mem_cfg, gate_cfg, ports,
+                trace, args.parameter, values, mem_cfg, ports,
                 out_path=csv_path, clock_mode=args.clock,
             )
             print(f"sweep written to {csv_path}")
@@ -152,7 +145,7 @@ def main(argv=None) -> int:
                 num_scenes=args.scenes, scene_duration=args.scene_duration, seed=args.seed
             )
             spec = harness.SceneSpec.from_json(scenes.source["spec"])
-            harness.repl(mem_cfg, gate_cfg, ports, spec)
+            harness.repl(mem_cfg, ports, spec)
             return 0
 
         raise InputError(f"unknown command {args.command!r}")

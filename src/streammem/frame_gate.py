@@ -71,40 +71,39 @@ class MotionEstimate:
 
     u: float
     v: float
-    magnitude: float  # min(sqrt(u^2+v^2)/norm_scale, 1); 0 when degenerate
+    magnitude: float  # min(sqrt(u^2+v^2)/NORM_SCALE, 1); 0 when degenerate
     degenerate: bool
+
+
+# The flow estimate's constants.  NORM_SCALE is not a setting: a frame is
+# kept iff min(speed / NORM_SCALE, 1) > threshold_t, so it only rescales t.
+NORM_SCALE = 3.0  # px/frame mapped to magnitude 1.0
+SINGULAR_EPS = 1e-7  # relative determinant below which the solve is degenerate
+DOWNSAMPLE_MAX_EDGE = 64  # frames are strided to at most this many pixels a side
 
 
 @dataclass(frozen=True)
 class GateConfig:
     threshold_t: float = 0.35
-    norm_scale: float = 3.0  # px/frame mapped to magnitude 1.0
-    singular_eps: float = 1e-7
-    downsample_max_edge: int = 64
 
     def __post_init__(self):
         require_finite(self)
         if not 0.0 <= self.threshold_t <= 1.0:
             raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
-        if self.norm_scale <= 0:
-            raise InputError("norm_scale must be positive")
-        if self.singular_eps <= 0:
-            raise InputError("singular_eps must be positive")
 
 
-def estimate_motion(prev: Frame, cur: Frame, cfg: GateConfig | None = None) -> MotionEstimate:
+def estimate_motion(prev: Frame, cur: Frame) -> MotionEstimate:
     """Single-window Lucas-Kanade flow over the whole (downsampled) frame.
 
     Spatial gradients by central differences on the previous frame, temporal
     derivative cur - prev.  A near-singular structure matrix (flat frames)
     yields a degenerate estimate with magnitude 0.
     """
-    cfg = cfg or GateConfig()
     if prev.pixels.shape != cur.pixels.shape:
         raise InputError(
             f"frame size mismatch: {prev.pixels.shape} vs {cur.pixels.shape}"
         )
-    stride = max(1, math.ceil(max(prev.pixels.shape) / cfg.downsample_max_edge))
+    stride = max(1, math.ceil(max(prev.pixels.shape) / DOWNSAMPLE_MAX_EDGE))
     p = prev.pixels[::stride, ::stride].astype(np.float64)
     c = cur.pixels[::stride, ::stride].astype(np.float64)
 
@@ -116,14 +115,14 @@ def estimate_motion(prev: Frame, cur: Frame, cfg: GateConfig | None = None) -> M
     syy = float(np.sum(iy * iy))
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
-    if abs(det) < cfg.singular_eps * (trace * trace + 1e-12):
+    if abs(det) < SINGULAR_EPS * (trace * trace + 1e-12):
         return MotionEstimate(u=0.0, v=0.0, magnitude=0.0, degenerate=True)
 
     bx = float(-np.sum(ix * it))
     by = float(-np.sum(iy * it))
     u = (syy * bx - sxy * by) / det * stride
     v = (sxx * by - sxy * bx) / det * stride
-    magnitude = min(math.hypot(u, v) / cfg.norm_scale, 1.0)
+    magnitude = min(math.hypot(u, v) / NORM_SCALE, 1.0)
     return MotionEstimate(u=u, v=v, magnitude=magnitude, degenerate=False)
 
 
@@ -145,7 +144,7 @@ class FrameGate:
         if self._last_kept is None:
             self._last_kept = cur
             return GateDecision(kept=True, magnitude=1.0)
-        est = estimate_motion(self._last_kept, cur, self.cfg)
+        est = estimate_motion(self._last_kept, cur)
         if est.magnitude > self.cfg.threshold_t:
             self._last_kept = cur
             return GateDecision(kept=True, magnitude=est.magnitude)

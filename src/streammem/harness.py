@@ -1,8 +1,8 @@
 """Benchmark harness: synthetic scene streams with ground truth, trace
 replay, metric computation, parameter sweeps, and an interactive mode.
 
-The harness is a single-threaded driver around the pipeline engine; only the
-engine's internal stages are concurrent.
+The harness drives the pipeline from the caller's thread; only a wall-clock
+run adds a thread, the engine's one stream worker.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import InputError
 from .frame_gate import Frame, GateConfig
 from .memory_core import MemoryConfig, derive_seed
 from .pipeline import AnswerRecord, Engine, QueryRequest, RunReport, run
-from .ports import PortSet
+from .ports import PASS_SCORE, PortSet
 
 TASK_TYPES = ("OS", "LM", "SM", "CI", "KG", "SF")
 
@@ -174,6 +174,10 @@ class TraceQuery:
     def __post_init__(self):
         if not math.isfinite(self.t_input):
             raise InputError(f"t_input must be finite, got {self.t_input}")
+        if not isinstance(self.question, str) or not self.question:
+            raise InputError(f"question must be a non-empty string, got {self.question!r}")
+        if not isinstance(self.reference_answer, str):
+            raise InputError(f"reference_answer must be a string, got {self.reference_answer!r}")
         if self.task_type not in TASK_TYPES:
             raise InputError(f"unknown task type {self.task_type!r}")
 
@@ -229,6 +233,8 @@ def load_trace(path: str | Path) -> Trace:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise InputError(f"{path}:{lineno}: a record must be a JSON object")
             kind = doc.get("type")
             if kind == "header":
                 source = doc.get("source")
@@ -270,6 +276,8 @@ def gen_trace(
 ) -> Trace:
     """Build a synthetic trace: one tagged scene per segment, one recall query
     per scene after it ends, plus an opening SF query and a CI follow-up."""
+    if num_scenes < 1:
+        raise InputError(f"a trace needs at least one scene, got {num_scenes}")
     rng = np.random.default_rng(derive_seed(seed, "trace", 0))
     tags = list(_TAG_POOL)
     rng.shuffle(tags)
@@ -345,9 +353,10 @@ class MetricsReport:
         }
 
 
-def compute_metrics(scored: list[ScoredAnswer], threshold: int = 3) -> MetricsReport:
-    """Mean score, indicator accuracy at the threshold, coherence as the mean
-    absolute difference of consecutive turn scores, and delay statistics."""
+def compute_metrics(scored: list[ScoredAnswer]) -> MetricsReport:
+    """Mean score, indicator accuracy at the judge's pass score, coherence as
+    the mean absolute difference of consecutive turn scores, and delay
+    statistics."""
     if not scored:
         raise InputError("need at least one scored answer")
     scores = np.array([s.score for s in scored], dtype=np.float64)
@@ -363,11 +372,11 @@ def compute_metrics(scored: list[ScoredAnswer], threshold: int = 3) -> MetricsRe
             per_task[task] = {
                 "count": len(subset),
                 "mean_score": float(sub_scores.mean()),
-                "accuracy": float((sub_scores >= threshold).mean()),
+                "accuracy": float((sub_scores >= PASS_SCORE).mean()),
             }
     return MetricsReport(
         mean_score=float(scores.mean()),
-        accuracy=float((scores >= threshold).mean()),
+        accuracy=float((scores >= PASS_SCORE).mean()),
         coherence=coherence,
         rpd_mean=float(rpds.mean()),
         rpd_p95=float(np.percentile(rpds, 95)),
@@ -397,19 +406,19 @@ def judge_answers(
 def run_benchmark(
     trace: Trace,
     mem_cfg: MemoryConfig,
-    gate_cfg: GateConfig,
     ports: PortSet,
     out_dir: str | Path | None = None,
     clock_mode: str = "sim",
-    threshold: int = 3,
 ):
     """Run the pipeline over a trace, judge every answer, and (optionally)
-    write report.json plus transcript.jsonl to out_dir."""
+    write report.json plus transcript.jsonl to out_dir.  The gate takes its
+    threshold from `mem_cfg.threshold_t`."""
+    gate_cfg = GateConfig(threshold_t=mem_cfg.threshold_t)
     frames = trace.frames()
     requests = [QueryRequest(question=q.question, t_input=q.t_input) for q in trace.queries]
     report = run(frames, requests, mem_cfg, gate_cfg, ports, clock_mode=clock_mode)
     scored = judge_answers(report, trace.queries, ports.judge)
-    metrics = compute_metrics(scored, threshold) if scored else None
+    metrics = compute_metrics(scored) if scored else None
 
     doc = report.to_json()
     doc["metrics"] = metrics.to_json() if metrics else None
@@ -458,7 +467,6 @@ def sweep(
     parameter: str,
     values: list,
     mem_cfg: MemoryConfig,
-    gate_cfg: GateConfig,
     ports: PortSet,
     out_path: str | Path | None = None,
     clock_mode: str = "sim",
@@ -472,12 +480,7 @@ def sweep(
     rows = []
     for value in values:
         cfg = dataclasses.replace(mem_cfg, **{SWEEP_PARAMS[parameter]: value})
-        gcfg = gate_cfg
-        if parameter == "t":
-            gcfg = dataclasses.replace(gate_cfg, threshold_t=value)
-        report, metrics, _ = run_benchmark(
-            trace, cfg, gcfg, ports, out_dir=None, clock_mode=clock_mode
-        )
+        report, metrics, _ = run_benchmark(trace, cfg, ports, out_dir=None, clock_mode=clock_mode)
         rows.append(
             {
                 "value": value,
@@ -501,7 +504,6 @@ def sweep(
 
 def repl(
     mem_cfg: MemoryConfig,
-    gate_cfg: GateConfig,
     ports: PortSet,
     spec: SceneSpec,
     stdin=None,
@@ -512,7 +514,7 @@ def repl(
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     frames, _ = synth_scenes(spec)
-    engine = Engine(mem_cfg, gate_cfg, ports)
+    engine = Engine(mem_cfg, GateConfig(threshold_t=mem_cfg.threshold_t), ports)
     engine.start(iter(frames))
     answers: list[AnswerRecord] = []
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, require_finite
+from .errors import BackendError, InputError, require_finite
 from .frame_gate import Chunk, VisionEmbedding
 
 __all__ = [
@@ -53,6 +53,8 @@ class MemoryConfig:
 
     def __post_init__(self):
         require_finite(self)
+        if not 0.0 <= self.threshold_t <= 1.0:
+            raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
         if self.chunk_len_L < 1:
             raise InputError("chunk_len_L must be >= 1")
         if self.group_size_g < 2:
@@ -233,6 +235,26 @@ class TreeNode:
     child_end: int = 0
 
 
+def _build_node(points, seed, cfg, describe, text_encoder, span, level, start=0, end=0):
+    """Cluster `points`, caption them with `describe()` and encode the
+    caption; a failing port surfaces as a BackendError."""
+    result = kmeans(points, cfg.cluster_goal_C, seed)
+    try:
+        caption = describe()
+        caption_vec = text_encoder(caption)
+    except Exception as exc:
+        raise BackendError(f"captioning failed for span {span}: {exc}", span=span) from exc
+    return TreeNode(
+        centroids=result.centroids,
+        caption=caption,
+        caption_vec=np.asarray(caption_vec, dtype=np.float64),
+        span=span,
+        level=level,
+        child_start=start,
+        child_end=end,
+    )
+
+
 def make_unit(
     chunk: Chunk,
     cfg: MemoryConfig,
@@ -244,23 +266,9 @@ def make_unit(
     if len(chunk) == 0:
         raise InputError("cannot build a unit from an empty chunk")
     points = np.vstack([e.tokens for e in chunk.embeddings])
-    result = kmeans(points, cfg.cluster_goal_C, derive_seed(cfg.rng_seed, "chunk", chunk_index))
-    try:
-        caption = captioner.caption_chunk(chunk)
-        caption_vec = text_encoder(caption)
-    except Exception as exc:
-        from .errors import BackendError
-
-        raise BackendError(
-            f"captioning failed for chunk span {chunk.span}: {exc}", span=chunk.span
-        ) from exc
-    return TreeNode(
-        centroids=result.centroids,
-        caption=caption,
-        caption_vec=np.asarray(caption_vec, dtype=np.float64),
-        span=chunk.span,
-        level=0,
-    )
+    seed = derive_seed(cfg.rng_seed, "chunk", chunk_index)
+    return _build_node(points, seed, cfg, lambda: captioner.caption_chunk(chunk),
+                       text_encoder, chunk.span, level=0)
 
 
 TreeView = tuple[tuple[TreeNode, ...], ...]
@@ -312,18 +320,10 @@ class MemoryTree:
         children = below[start:end]
         points = np.vstack([c.centroids for c in children])
         seed = derive_seed(self.cfg.rng_seed, f"parent-l{level}", index)
-        result = kmeans(points, self.cfg.cluster_goal_C, seed)
-        caption = captioner.summarize([c.caption for c in children])
-        caption_vec = np.asarray(text_encoder(caption), dtype=np.float64)
-        return TreeNode(
-            centroids=result.centroids,
-            caption=caption,
-            caption_vec=caption_vec,
-            span=(min(c.span[0] for c in children), max(c.span[1] for c in children)),
-            level=level,
-            child_start=start,
-            child_end=end,
-        )
+        span = (min(c.span[0] for c in children), max(c.span[1] for c in children))
+        return _build_node(points, seed, self.cfg,
+                           lambda: captioner.summarize([c.caption for c in children]),
+                           text_encoder, span, level, start, end)
 
     def view(self) -> TreeView:
         return tuple(tuple(level) for level in self.levels if level)
@@ -401,8 +401,6 @@ class DialogueMemory:
         try:
             vec = np.asarray(text_encoder(f"Q: {question} A: {answer}"), dtype=np.float64)
         except Exception as exc:
-            from .errors import BackendError
-
             raise BackendError(f"dialogue encoding failed: {exc}") from exc
         entry = DialogueEntry(
             question=question,

@@ -21,12 +21,16 @@ import requests
 
 from .errors import BackendError, InputError, ProtocolError
 from .frame_gate import Chunk, Frame, VisionEmbedding
+from .retrieval import bundle_to_json
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # stub text embedding width: at 256 buckets, query words alias with tag
 # words often enough to send tree descent down the wrong branch
 TEXT_DIM = 512
+
+# judge scores run 0..5; an answer passes (verdict yes) at this score or above
+PASS_SCORE = 3
 
 
 def _tokenize(text: str) -> list[str]:
@@ -67,10 +71,11 @@ class StubFrameEncoder:
     intensity histogram, j).  Quantizing the histogram makes near-equal
     frames encode identically."""
 
-    def __init__(self, n: int = 4, d: int = 32, hist_levels: int = 8):
+    HIST_LEVELS = 8  # quantization levels of each histogram cell's mean
+
+    def __init__(self, n: int = 4, d: int = 32):
         self.n = n
         self.d = d
-        self.hist_levels = hist_levels
 
     def _histogram_key(self, pixels: np.ndarray) -> bytes:
         h, w = pixels.shape
@@ -78,7 +83,7 @@ class StubFrameEncoder:
         for i in range(4):
             for j in range(4):
                 block = pixels[i * h // 4 : (i + 1) * h // 4, j * w // 4 : (j + 1) * w // 4]
-                cells.append(int(round(float(block.mean()) * (self.hist_levels - 1))))
+                cells.append(int(round(float(block.mean()) * (self.HIST_LEVELS - 1))))
         return bytes(cells)
 
     def __call__(self, frame: Frame) -> VisionEmbedding:
@@ -134,7 +139,7 @@ class EchoGenerator:
 
 def exact_match_judge(question: str, reference: str, prediction: str) -> tuple[str, int]:
     """Token-set F1 mapped to a 0..5 score (round-half-to-even); verdict yes
-    iff score >= 3."""
+    iff score >= PASS_SCORE."""
     ref = set(_tokenize(reference))
     pred = set(_tokenize(prediction))
     if not ref or not pred:
@@ -148,12 +153,7 @@ def exact_match_judge(question: str, reference: str, prediction: str) -> tuple[s
             recall = overlap / len(ref)
             f1 = 2 * precision * recall / (precision + recall)
     score = round(5 * f1)
-    return ("yes" if score >= 3 else "no", score)
-
-
-class StubJudge:
-    def __call__(self, question: str, reference: str, prediction: str) -> tuple[str, int]:
-        return exact_match_judge(question, reference, prediction)
+    return ("yes" if score >= PASS_SCORE else "no", score)
 
 
 @dataclass
@@ -165,13 +165,13 @@ class PortSet:
     judge: object  # (question, reference, prediction) -> (verdict, score)
 
 
-def stub_ports(n: int = 4, d: int = 32, text_dim: int = TEXT_DIM) -> PortSet:
+def stub_ports() -> PortSet:
     return PortSet(
-        frame_encoder=StubFrameEncoder(n=n, d=d),
-        text_encoder=StubTextEncoder(dim=text_dim),
+        frame_encoder=StubFrameEncoder(),
+        text_encoder=StubTextEncoder(),
         captioner=TagCaptioner(),
         generator=EchoGenerator(),
-        judge=StubJudge(),
+        judge=exact_match_judge,
     )
 
 
@@ -184,7 +184,6 @@ class RemoteBackendConfig:
     base_url: str
     timeout: float = 10.0
     retry_count: int = 3
-    api_key_env_var: str = ""
     backoff_base: float = 0.5
 
     def __post_init__(self):
@@ -193,7 +192,8 @@ class RemoteBackendConfig:
 
 
 class RemoteClient:
-    """POSTs JSON payloads to base_url/{endpoint} with exponential backoff."""
+    """POSTs JSON payloads to base_url/{endpoint} with exponential backoff,
+    sending `Authorization: Bearer $STREAMMEM_API_KEY` when that is set."""
 
     ENDPOINTS = ("embed", "caption", "generate", "judge")
 
@@ -204,11 +204,8 @@ class RemoteClient:
     def call(self, endpoint: str, payload: dict) -> dict:
         if endpoint not in self.ENDPOINTS:
             raise InputError(f"unknown endpoint {endpoint!r}")
-        headers = {}
-        if self.cfg.api_key_env_var:
-            key = os.environ.get(self.cfg.api_key_env_var)
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
+        key = os.environ.get("STREAMMEM_API_KEY")
+        headers = {"Authorization": f"Bearer {key}"} if key else {}
         url = self.cfg.base_url.rstrip("/") + "/" + endpoint
         attempts = self.cfg.retry_count
         last_error = None
@@ -295,8 +292,6 @@ class RemoteGenerator:
         self.client = client
 
     def __call__(self, bundle) -> str:
-        from .retrieval import bundle_to_json
-
         reply = self.client.call("generate", {"bundle": bundle_to_json(bundle)})
         return _require(reply, "text", "generate", str)
 
@@ -317,12 +312,12 @@ class RemoteJudge:
         return (verdict, score)
 
 
-def remote_ports(cfg: RemoteBackendConfig, n: int = 4, d: int = 32) -> PortSet:
+def remote_ports(cfg: RemoteBackendConfig) -> PortSet:
     """Remote text/caption/generate/judge; the frame encoder stays a local
     stub since the wire protocol carries no pixel endpoint."""
     client = RemoteClient(cfg)
     return PortSet(
-        frame_encoder=StubFrameEncoder(n=n, d=d),
+        frame_encoder=StubFrameEncoder(),
         text_encoder=RemoteTextEncoder(client),
         captioner=RemoteCaptioner(client),
         generator=RemoteGenerator(client),

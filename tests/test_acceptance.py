@@ -147,7 +147,7 @@ def test_criterion_05_descent_matches_argmax_oracle():
 def test_criterion_06_metric_formulas_exact():
     report = compute_metrics(scored([5, 3, 5]))
     assert abs(report.coherence - 2.0) <= 1e-9
-    report = compute_metrics(scored([5, 4, 2]), threshold=3)
+    report = compute_metrics(scored([5, 4, 2]))
     assert abs(report.accuracy - 2 / 3) <= 1e-9
     record = AnswerRecord(
         question="q", answer="a", t_input=10.0, t_start=10.9, t_done=11.0,

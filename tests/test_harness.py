@@ -83,13 +83,12 @@ class TestSynthScenes:
     def test_scene_boundary_magnitude_spikes_for_low_motion(self):
         from streammem.frame_gate import estimate_motion
 
-        cfg = GateConfig()
         for motion in (0.0, 0.1, 0.2):
             boundary_mags, within_mags = [], []
             for seed in range(20):
                 frames, _ = synth_scenes(spec_2scenes(motion=motion, seed=seed))
                 mags = [
-                    estimate_motion(p, c, cfg).magnitude
+                    estimate_motion(p, c).magnitude
                     for p, c in zip(frames, frames[1:])
                 ]
                 boundary = (
@@ -156,7 +155,7 @@ class TestMetrics:
         assert report.mean_score == pytest.approx(13 / 3)
 
     def test_accuracy_indicator_at_threshold(self):
-        report = compute_metrics(scored([5, 4, 2]), threshold=3)
+        report = compute_metrics(scored([5, 4, 2]))
         assert report.accuracy == pytest.approx(2 / 3)
 
     def test_single_turn_has_no_coherence(self):
@@ -190,7 +189,6 @@ class TestRunBenchmark:
         report, metrics, doc = run_benchmark(
             short_trace,
             MemoryConfig(chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
-            GateConfig(threshold_t=0.35),
             stub_ports(),
             out_dir=tmp_path,
         )
@@ -211,7 +209,6 @@ class TestRunBenchmark:
         _, _, doc = run_benchmark(
             short_trace,
             MemoryConfig(chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
-            GateConfig(threshold_t=0.35),
             stub_ports(),
         )
         recalls = [
@@ -224,13 +221,24 @@ class TestRunBenchmark:
             assert tag in answer["answer"]
 
 
+    def test_gate_threshold_follows_memory_config(self, short_trace):
+        _, _, doc = run_benchmark(
+            short_trace,
+            MemoryConfig(threshold_t=0.2, chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
+            stub_ports(),
+        )
+        config = doc["config"]
+        assert config["gate_threshold_t"] == config["threshold_t"] == 0.2
+        assert [k for k in config if k.startswith("gate_")] == ["gate_threshold_t"]
+
+
 class TestSweep:
     def test_threshold_sweep_kept_ratio_monotone(self, short_trace, tmp_path):
         out = tmp_path / "sweep_t.csv"
         rows = sweep(
             short_trace, "t", [0.1, 0.3, 0.6, 0.9],
             MemoryConfig(chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
-            GateConfig(), stub_ports(), out_path=out,
+            stub_ports(), out_path=out,
         )
         ratios = [r["kept_ratio"] for r in rows]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
@@ -240,18 +248,18 @@ class TestSweep:
     def test_single_value_sweep(self, short_trace):
         rows = sweep(
             short_trace, "L", [10],
-            MemoryConfig(), GateConfig(), stub_ports(),
+            MemoryConfig(), stub_ports(),
         )
         assert len(rows) == 1
         assert rows[0]["value"] == 10
 
     def test_unknown_parameter_rejected(self, short_trace):
         with pytest.raises(InputError):
-            sweep(short_trace, "Z", [1], MemoryConfig(), GateConfig(), stub_ports())
+            sweep(short_trace, "Z", [1], MemoryConfig(), stub_ports())
 
     def test_empty_values_rejected(self, short_trace):
         with pytest.raises(InputError):
-            sweep(short_trace, "g", [], MemoryConfig(), GateConfig(), stub_ports())
+            sweep(short_trace, "g", [], MemoryConfig(), stub_ports())
 
 
 class TestRepl:
@@ -260,8 +268,7 @@ class TestRepl:
         stdout = io.StringIO()
         spec = spec_2scenes()
         report = repl(
-            MemoryConfig(chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
-            GateConfig(threshold_t=0.0),
+            MemoryConfig(threshold_t=0.0, chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
             stub_ports(),
             spec,
             stdin=stdin,
@@ -279,7 +286,7 @@ class TestRepl:
             SceneDef(tags=(f"scene{i}",), duration=20.0, motion=0.5) for i in range(20)
         ))
         frames, _ = synth_scenes(spec)
-        report = repl(MemoryConfig(), GateConfig(), stub_ports(), spec,
+        report = repl(MemoryConfig(), stub_ports(), spec,
                       stdin=io.StringIO("quit\n"), stdout=io.StringIO())
         assert 0 < report.frames_in < len(frames)
 
@@ -340,7 +347,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "config,message",
-        [("[1]", "must hold a JSON object"), ('{"chunk_len_L": "x"}', "bad config")],
+        [
+            ("[1]", "must hold a JSON object"),
+            ('{"chunk_len_L": "x"}', "bad config"),
+            ('{"norm_scale": 3}', "unknown config field 'norm_scale'"),
+            ('{"threshold_t": "x"}', "bad config"),
+        ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
         trace_path = tmp_path / "trace.jsonl"
@@ -372,12 +384,55 @@ class TestCli:
         assert cfg["chunk_len_L"] == 7
         assert cfg["gate_threshold_t"] == 0.2
 
+    def test_config_fields_apply_together(self, tmp_path):
+        # S > N of the base preset, but not of the file's config as a whole
+        trace_path = tmp_path / "trace.jsonl"
+        main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"short_len_S": 30, "candidate_len_N": 40}')
+        out_dir = tmp_path / "out_cfg"
+        assert main([
+            "run", str(trace_path), "--config", str(cfg_path), "--out", str(out_dir),
+        ]) == 0
+        cfg = json.loads((out_dir / "report.json").read_text())["config"]
+        assert (cfg["short_len_S"], cfg["candidate_len_N"]) == (30, 40)
+
+    @pytest.mark.parametrize(
+        "argv,record,message",
+        [
+            (["gen-trace", "{tmp}/t.jsonl", "--scenes", "0"], None, "at least one scene"),
+            (["repl", "--scenes", "0"], None, "at least one scene"),
+            (["run", "{tmp}/t.jsonl"], "[1]", "must be a JSON object"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": 20.0, "question": 5}',
+             "question must be a non-empty string"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": 20.0, "question": ""}',
+             "question must be a non-empty string"),
+            (["run", "{tmp}/t.jsonl"],
+             '{"type": "query", "t_input": 20.0, "question": "q", "reference_answer": ["x"]}',
+             "reference_answer must be a string"),
+        ],
+        ids=["gen-trace-0-scenes", "repl-0-scenes", "record-not-object",
+             "question-not-string", "question-empty", "reference-not-string"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv, record, message):
+        trace_path = tmp_path / "t.jsonl"
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if record is not None:
+            save_trace(gen_trace(num_scenes=2, scene_duration=6.0), trace_path)
+            with open(trace_path, "a") as fh:
+                fh.write(record + "\n")
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert record is not None or not trace_path.exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [
             '{"min_dialogue_sim": NaN}',
             '{"forgetting_scale_s": Infinity}',
-            '{"norm_scale": Infinity}',
+            '{"threshold_t": Infinity}',
             '{"chunk_len_L": NaN}',
         ],
     )

@@ -260,6 +260,11 @@ class FailingCaptioner(TagCaptioner):
         raise RuntimeError("captioner down")
 
 
+class FailingSummarizer(TagCaptioner):
+    def summarize(self, captions):
+        raise RuntimeError("summarizer down")
+
+
 class FailingFrameEncoder:
     def __init__(self, inner, fail_at):
         self.inner = inner
@@ -310,6 +315,17 @@ class TestWallFailures:
         _, error = self.run_failing(ports)
         assert isinstance(error, BackendError)
         assert "captioner down" in str(error)
+
+    @pytest.mark.parametrize("driver", [run_sim, run_wall], ids=["sim", "wall"])
+    def test_failing_summarize_is_backend_error(self, driver):
+        # a parent build's port failure surfaces like a chunk build's
+        ports = dataclasses.replace(stub_ports(), captioner=FailingSummarizer())
+        frames = moving_scene_frames(n_scenes=3, duration=10.0)
+        _, error = finish_within(
+            lambda: driver(frames, wall_queries(), small_cfg(), GateConfig(), ports), 10.0
+        )
+        assert isinstance(error, BackendError)
+        assert "summarizer down" in str(error)
 
     def test_failing_frame_encoder_is_raised(self):
         ports = stub_ports()

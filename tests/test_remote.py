@@ -132,10 +132,15 @@ def test_judge_schema_validation(server):
 
 
 def test_api_key_sent_as_bearer(server, monkeypatch):
-    monkeypatch.setenv("MOCK_API_KEY", "sekrit")
-    client = client_for(server, api_key_env_var="MOCK_API_KEY")
-    client.call("embed", {"texts": ["x"]})
+    monkeypatch.setenv("STREAMMEM_API_KEY", "sekrit")
+    client_for(server).call("embed", {"texts": ["x"]})
     assert MockHandler.seen_auth[-1] == "Bearer sekrit"
+
+
+def test_no_auth_header_without_api_key(server, monkeypatch):
+    monkeypatch.delenv("STREAMMEM_API_KEY", raising=False)
+    client_for(server).call("embed", {"texts": ["x"]})
+    assert MockHandler.seen_auth == [None]
 
 
 def test_remote_portset_same_shapes_as_stub(server):

@@ -29,6 +29,16 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def function_imports(source: str) -> list[str]:
+    """Names of the functions whose body holds an import statement."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))
+    )
+
+
 def test_checker_finds_unused_imports():
     source = (
         "from __future__ import annotations\nimport os\nimport os.path as osp\n"
@@ -41,3 +51,19 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_function_imports():
+    source = (
+        "import os\nfrom json import dumps\n"
+        "def f():\n    import sys\n    return sys.argv\n"
+        "def g():\n    return os.sep\n"
+        "class C:\n    async def m(self):\n        if True:\n"
+        "            from json import loads\n        return loads\n"
+    )
+    assert function_imports(source) == ["f", "m"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert function_imports(path.read_text()) == []
