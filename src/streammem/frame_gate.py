@@ -92,6 +92,51 @@ class GateConfig:
             raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
 
 
+@dataclass(frozen=True)
+class MotionReference:
+    """What a motion solve needs of the earlier frame: its downsampled
+    pixels, their central-difference gradients and the structure matrix
+    (sxx, sxy; sxy, syy) they form.  Built once per reference frame."""
+
+    shape: tuple[int, ...]  # the full frame's pixel shape
+    stride: int
+    pixels: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+    sxx: float
+    sxy: float
+    syy: float
+
+    @staticmethod
+    def of(frame: Frame) -> "MotionReference":
+        stride = max(1, math.ceil(max(frame.pixels.shape) / DOWNSAMPLE_MAX_EDGE))
+        p = frame.pixels[::stride, ::stride].astype(np.float64)
+        iy, ix = np.gradient(p)
+        return MotionReference(
+            shape=frame.pixels.shape, stride=stride, pixels=p, ix=ix, iy=iy,
+            sxx=float(np.sum(ix * ix)), sxy=float(np.sum(ix * iy)), syy=float(np.sum(iy * iy)),
+        )
+
+    def motion_to(self, cur: Frame) -> MotionEstimate:
+        """The motion from this reference frame to `cur`, as estimate_motion
+        defines it."""
+        if self.shape != cur.pixels.shape:
+            raise InputError(f"frame size mismatch: {self.shape} vs {cur.pixels.shape}")
+        sxx, sxy, syy = self.sxx, self.sxy, self.syy
+        det = sxx * syy - sxy * sxy
+        trace = sxx + syy
+        if abs(det) < SINGULAR_EPS * (trace * trace + 1e-12):
+            return MotionEstimate(u=0.0, v=0.0, magnitude=0.0, degenerate=True)
+
+        it = cur.pixels[:: self.stride, :: self.stride].astype(np.float64) - self.pixels
+        bx = float(-np.sum(self.ix * it))
+        by = float(-np.sum(self.iy * it))
+        u = (syy * bx - sxy * by) / det * self.stride
+        v = (sxx * by - sxy * bx) / det * self.stride
+        magnitude = min(math.hypot(u, v) / NORM_SCALE, 1.0)
+        return MotionEstimate(u=u, v=v, magnitude=magnitude, degenerate=False)
+
+
 def estimate_motion(prev: Frame, cur: Frame) -> MotionEstimate:
     """Single-window Lucas-Kanade flow over the whole (downsampled) frame.
 
@@ -99,31 +144,7 @@ def estimate_motion(prev: Frame, cur: Frame) -> MotionEstimate:
     derivative cur - prev.  A near-singular structure matrix (flat frames)
     yields a degenerate estimate with magnitude 0.
     """
-    if prev.pixels.shape != cur.pixels.shape:
-        raise InputError(
-            f"frame size mismatch: {prev.pixels.shape} vs {cur.pixels.shape}"
-        )
-    stride = max(1, math.ceil(max(prev.pixels.shape) / DOWNSAMPLE_MAX_EDGE))
-    p = prev.pixels[::stride, ::stride].astype(np.float64)
-    c = cur.pixels[::stride, ::stride].astype(np.float64)
-
-    iy, ix = np.gradient(p)
-    it = c - p
-
-    sxx = float(np.sum(ix * ix))
-    sxy = float(np.sum(ix * iy))
-    syy = float(np.sum(iy * iy))
-    det = sxx * syy - sxy * sxy
-    trace = sxx + syy
-    if abs(det) < SINGULAR_EPS * (trace * trace + 1e-12):
-        return MotionEstimate(u=0.0, v=0.0, magnitude=0.0, degenerate=True)
-
-    bx = float(-np.sum(ix * it))
-    by = float(-np.sum(iy * it))
-    u = (syy * bx - sxy * by) / det * stride
-    v = (sxx * by - sxy * bx) / det * stride
-    magnitude = min(math.hypot(u, v) / NORM_SCALE, 1.0)
-    return MotionEstimate(u=u, v=v, magnitude=magnitude, degenerate=False)
+    return MotionReference.of(prev).motion_to(cur)
 
 
 @dataclass(frozen=True)
@@ -138,15 +159,15 @@ class FrameGate:
 
     def __init__(self, cfg: GateConfig):
         self.cfg = cfg
-        self._last_kept: Frame | None = None
+        self._last_kept: MotionReference | None = None
 
     def update(self, cur: Frame) -> GateDecision:
         if self._last_kept is None:
-            self._last_kept = cur
+            self._last_kept = MotionReference.of(cur)
             return GateDecision(kept=True, magnitude=1.0)
-        est = estimate_motion(self._last_kept, cur)
+        est = self._last_kept.motion_to(cur)
         if est.magnitude > self.cfg.threshold_t:
-            self._last_kept = cur
+            self._last_kept = MotionReference.of(cur)
             return GateDecision(kept=True, magnitude=est.magnitude)
         return GateDecision(kept=False, magnitude=est.magnitude)
 

@@ -137,12 +137,19 @@ class KMeansResult:
 
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    """(r, m, k) squared distances from the m points to each of the k centers
+    of r restarts.  Each center's slab is summed over its last axis, so every
+    distance is the same pairwise sum a single (m, k, d) broadcast gives."""
+    r, k, _ = centers.shape
+    dists = np.empty((r, points.shape[0], k))
+    for c in range(k):
+        dists[:, :, c] = np.sum((points - centers[:, c, None, :]) ** 2, axis=2)
+    return dists
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
+def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur and Vassilvitskii, 2007)."""
     m = points.shape[0]
-    # k-means++ seeding
     first = int(rng.integers(m))
     centroids = [points[first]]
     d2 = np.sum((points - centroids[0]) ** 2, axis=1)
@@ -154,33 +161,70 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
             idx = int(rng.choice(m, p=d2 / total))
         centroids.append(points[idx])
         d2 = np.minimum(d2, np.sum((points - centroids[-1]) ** 2, axis=1))
-    centers = np.array(centroids)
+    return np.array(centroids)
 
-    # each Lloyd step assigns by the distances to the centers the previous
-    # step computed, updates the centers, and measures the new ones once
+
+def _update(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """One Lloyd update of r restarts: each center moves to the mean of its
+    points, summed in row order as `mean(axis=0)` sums two or more columns
+    (it sums a single column pairwise, so on 1-D points a center can differ
+    from that mean in its last bit).
+
+    An empty cluster is reseeded to the point farthest from its nearest
+    center, by the rule of a pass over the clusters in order: each empty
+    cluster takes that point over, so a cluster after the first empty one
+    no longer holds it when it is averaged, and is reseeded too if it held
+    nothing else."""
+    r, m, k = dists.shape
+    d = points.shape[1]
+    members = nearest + k * np.arange(r)[:, None]  # flat (restart, cluster)
+    counts = np.bincount(members.ravel(), minlength=r * k).reshape(r, k)
+    reseeds = []
+    for i in np.flatnonzero((counts == 0).any(axis=1)):
+        empty = counts[i] == 0
+        far = int(np.argmax(np.min(dists[i], axis=1)))
+        first, owner = int(np.argmax(empty)), nearest[i, far]
+        if owner > first:
+            members[i, far] = k * i + first  # summed into a cluster that is reseeded anyway
+            counts[i, owner] -= 1
+            empty[owner] = counts[i, owner] == 0
+        reseeds.append((i, empty, far))
+    index = (members[:, :, None] * d + np.arange(d)).ravel()
+    weights = np.broadcast_to(points, (r, m, d)).ravel()
+    sums = np.bincount(index, weights, minlength=r * k * d).reshape(r, k, d)
+    centers = sums / np.maximum(counts, 1)[:, :, None]
+    for i, empty, far in reseeds:
+        centers[i, empty] = points[far]
+    return centers
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
+    """Lloyd's algorithm on the (r, k, d) seeded centers of r restarts at
+    once.  Each step assigns by the distances to the centers the previous
+    step computed, updates the centers and measures the new ones once.  A
+    restart stops when its assignment stops changing, or after MAX_ITER
+    steps.  Returns each restart's final centers and objective history."""
+    r, m = centers.shape[0], points.shape[0]
+    final = centers.copy()
+    histories: list[list[float]] = [[] for _ in range(r)]
+    live = np.arange(r)  # restarts still moving
     dists = _sq_dists(points, centers)
-    nearest = np.argmin(dists, axis=1)
-    labels = np.zeros(m, dtype=np.int64)  # the previous step's assignment
-    history: list[float] = []
+    nearest = np.argmin(dists, axis=2)
+    labels = np.zeros((r, m), dtype=np.int64)  # the previous step's assignment
     for _ in range(MAX_ITER):
-        # update step with empty-cluster reseed to the farthest point
-        new_centers = centers.copy()
-        for c in range(k):
-            mask = nearest == c
-            if mask.any():
-                new_centers[c] = points[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(np.min(dists, axis=1)))
-                new_centers[c] = points[far]
-                nearest[far] = c
-        dists = _sq_dists(points, new_centers)
-        nearest = np.argmin(dists, axis=1)
-        history.append(float(dists[np.arange(m), nearest].sum()))
-        centers = new_centers
-        if np.array_equal(nearest, labels):
+        centers = _update(points, dists, nearest)
+        dists = _sq_dists(points, centers)
+        nearest = np.argmin(dists, axis=2)
+        objectives = np.min(dists, axis=2).sum(axis=1)
+        for i, objective in zip(live, objectives):
+            histories[i].append(float(objective))
+        final[live] = centers
+        moving = ~np.all(nearest == labels, axis=1)
+        if not moving.any():
             break
-        labels = nearest.copy()  # the next update step may reseed `nearest`
-    return centers, history
+        live, dists, nearest = live[moving], dists[moving], nearest[moving]
+        labels = nearest
+    return final, histories
 
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
@@ -204,14 +248,17 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         # one centroid per distinct point: every point sits on its centroid
         return KMeansResult(distinct, 0.0, (0.0,))
 
-    best = None
-    for trial in range(N_INIT):
-        rng = np.random.default_rng(derive_seed(seed, "kmeans-init", trial))
-        centers, history = _kmeans_once(canon, k, rng)
-        if best is None or history[-1] < best[1][-1] - 1e-12:
-            best = (centers, history)
-    centers, history = best
-    return KMeansResult(centers, history[-1], tuple(history))
+    seeded = np.array([
+        _seed_centers(canon, k, np.random.default_rng(derive_seed(seed, "kmeans-init", trial)))
+        for trial in range(N_INIT)
+    ])
+    centers, histories = _lloyd(canon, seeded)
+    best = 0  # in restart order, a restart wins by beating the best so far by 1e-12
+    for trial in range(1, N_INIT):
+        if histories[trial][-1] < histories[best][-1] - 1e-12:
+            best = trial
+    history = histories[best]
+    return KMeansResult(centers[best].copy(), history[-1], tuple(history))
 
 
 # ---------------------------------------------------------------------------

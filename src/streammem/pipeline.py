@@ -98,6 +98,17 @@ def _report(frames_in, frames_kept, duration, answers, mem_cfg, gate_cfg, mode) 
 # the stage core
 
 
+def _call_port(what: str, fn, *args):
+    """Call a model port; a failure that is not yet a BackendError becomes
+    one, so a failing port is an answer's error, not a crash."""
+    try:
+        return fn(*args)
+    except BackendError:
+        raise
+    except Exception as exc:
+        raise BackendError(f"{what} failed: {exc}") from exc
+
+
 class Stages:
     """The stage logic both drivers share: intake gates, encodes and buffers
     frames, formation writes chunks and answered turns into the store, and
@@ -137,12 +148,12 @@ class Stages:
         done."""
         answer, digest, path, error = "", "", None, None
         try:
-            q = encode_query(question, self.ports.text_encoder)
+            q = _call_port("query encoding", encode_query, question, self.ports.text_encoder)
             bundle = assemble_context(snapshot, q, self.mem_cfg)
             path = bundle.path
             digest = bundle_digest(bundle)
             t_start = now()
-            answer = self.ports.generator(bundle)
+            answer = _call_port("generation", self.ports.generator, bundle)
         except BackendError as exc:
             error = str(exc)
             t_start = now()
@@ -304,6 +315,8 @@ class Engine:
             raise self._error
         if self._stopped:
             raise InputError("engine stopped; no further queries accepted")
+        if not question:  # its turn would fail formation and end the engine
+            raise InputError("a question must be nonempty")
         record, self.last_path = self._stages.answer(
             question, self._now(), self.latest_snapshot(), now=self._now
         )

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: exhaustive SSD search
-for motion, exhaustive partition enumeration for clustering, and a standalone
-per-level argmax walk over the serialized tree for retrieval.
+for motion, exhaustive partition enumeration for clustering, a standalone
+per-level argmax walk over the serialized tree for retrieval, and Lloyd's
+algorithm run one restart and one cluster at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +58,48 @@ def best_partition_objective(points: np.ndarray, k: int) -> float:
         contrib = np.where(counts > 0, np.sum(sums**2, axis=2) / counts, 0.0)
     objectives = total_sq - contrib.sum(axis=1)
     return float(objectives.min())
+
+
+def lloyd_update_loop(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """One Lloyd update of one restart, a cluster at a time: a center moves
+    to the mean of its points; an empty cluster is reseeded to the point
+    farthest from its nearest center, which from then on counts as its
+    member for the clusters after it."""
+    nearest = nearest.copy()
+    k = dists.shape[1]
+    centers = np.empty((k, points.shape[1]))
+    for c in range(k):
+        mask = nearest == c
+        if mask.any():
+            centers[c] = points[mask].mean(axis=0)
+        else:
+            far = int(np.argmax(np.min(dists, axis=1)))
+            centers[c] = points[far]
+            nearest[far] = c
+    return centers
+
+
+def lloyd_loop(points: np.ndarray, seeded: list[np.ndarray], max_iter: int):
+    """Lloyd's algorithm on each (k, d) seeded center set in turn.  Returns
+    the (centers, objective history) of the winner: in order, a restart
+    wins by beating the best objective so far by more than 1e-12."""
+    best = None
+    for centers in seeded:
+        dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        nearest = np.argmin(dists, axis=1)
+        labels = np.zeros(len(points), dtype=np.int64)
+        history = []
+        for _ in range(max_iter):
+            centers = lloyd_update_loop(points, dists, nearest)
+            dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+            nearest = np.argmin(dists, axis=1)
+            history.append(float(dists[np.arange(len(points)), nearest].sum()))
+            if np.array_equal(nearest, labels):
+                break
+            labels = nearest
+        if best is None or history[-1] < best[1][-1] - 1e-12:
+            best = (centers, history)
+    return best
 
 
 def argmax_descent(tree_doc: dict, query_vec: np.ndarray) -> list[tuple[int, int]]:

@@ -16,7 +16,7 @@ from streammem.frame_gate import (
     estimate_motion,
     make_chunk,
 )
-from streammem.harness import smooth_texture
+from streammem.harness import SceneDef, SceneSpec, smooth_texture, synth_scenes
 
 
 def texture_frame(seed, t=0.0, size=48, cutoff=2, tags=()):
@@ -121,6 +121,29 @@ class TestGate:
             gate = FrameGate(GateConfig(threshold_t=float(threshold)))
             counts.append(sum(gate.update(f).kept for f in frames))
         assert counts == sorted(counts, reverse=True)
+
+    def test_magnitudes_equal_estimate_motion_against_last_kept(self):
+        # the gate keeps the kept frame's gradients; each decision must still
+        # be the motion from that frame, on noisy frames that are not shifts
+        scenes = (SceneDef(("a",), 6.0, 0.5), SceneDef(("b",), 6.0, 0.15))
+        frames, _ = synth_scenes(SceneSpec(scenes=scenes, fps=5.0, noise=0.03, seed=14301))
+        gate = FrameGate(GateConfig(threshold_t=0.35))
+        last_kept = frames[0]
+        assert gate.update(last_kept).kept
+        outcomes = set()
+        for f in frames[1:]:
+            decision = gate.update(f)
+            assert decision.magnitude == estimate_motion(last_kept, f).magnitude
+            outcomes.add(decision.kept)
+            if decision.kept:
+                last_kept = f
+        assert outcomes == {True, False}
+
+    def test_frame_size_change_rejected(self):
+        gate = FrameGate(GateConfig())
+        gate.update(texture_frame(0, size=48))
+        with pytest.raises(InputError):
+            gate.update(texture_frame(1, t=1.0, size=32))
 
 
 class TestVisionBuffer:

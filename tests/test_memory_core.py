@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_embedding
-from oracles import best_partition_objective, iterated_ceil_sizes
+from oracles import (
+    best_partition_objective,
+    iterated_ceil_sizes,
+    lloyd_loop,
+    lloyd_update_loop,
+)
 from streammem import memory_core
 from streammem.errors import InputError
 from streammem.frame_gate import make_chunk
@@ -172,6 +177,59 @@ class TestKMeans:
             if abs(res.objective - best_partition_objective(points, k)) <= 1e-9:
                 hits += 1
         assert hits >= 18
+
+    def test_cluster_emptied_mid_lloyd_pinned(self):
+        # found by searching small integer inputs: the winning restart
+        # empties a cluster during Lloyd's, so its result passes through
+        # the reseed rule; the values are those of the restart-by-restart,
+        # cluster-by-cluster implementation
+        points = np.array([[4.0, 0.0], [0.0, 4.0], [0.0, 3.0], [5.0, 2.0], [5.0, 4.0], [4.0, 3.0]])
+        res = kmeans(points, k=3, seed=359188)
+        assert res.centroids.tolist() == [[0.0, 3.5], [4.0, 0.0], [4.666666666666667, 3.0]]
+        assert res.objective_history == (
+            25.805555555555554, 11.11111111111111, 3.166666666666667, 3.166666666666667
+        )
+
+    def test_batched_update_matches_cluster_loop(self):
+        # random assignments empty clusters before and after the one holding
+        # the farthest point, several at once, and leave that one empty too
+        rng = np.random.default_rng(14201)
+        for _ in range(300):
+            r, m = int(rng.integers(1, 5)), int(rng.integers(2, 10))
+            k, d = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+            points = rng.standard_normal((m, d))
+            dists = rng.random((r, m, k))
+            nearest = rng.integers(0, k, (r, m))
+            got = memory_core._update(points, dists, nearest)
+            for i in range(r):
+                want = lloyd_update_loop(points, dists[i], nearest[i])
+                assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["normal", "integer-grid"])
+    def test_matches_restart_by_restart_loop(self, grid):
+        # bit for bit, with two or more columns: the batched update sums a
+        # cluster's rows in the order mean(axis=0) does
+        rng = np.random.default_rng(14202)
+        for _ in range(40):
+            m, d, k = int(rng.integers(4, 30)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            if grid:
+                points = rng.integers(0, 4, (m, d)).astype(float)
+            else:
+                points = rng.standard_normal((m, d))
+            seed = int(rng.integers(1 << 30))
+            canon = points[np.lexsort(points.T[::-1])]
+            if k >= len(np.unique(canon, axis=0)):
+                continue
+            seeded = [
+                memory_core._seed_centers(
+                    canon, k, np.random.default_rng(derive_seed(seed, "kmeans-init", trial))
+                )
+                for trial in range(memory_core.N_INIT)
+            ]
+            centers, history = lloyd_loop(canon, seeded, memory_core.MAX_ITER)
+            res = kmeans(points, k=k, seed=seed)
+            assert res.centroids.tobytes() == centers.tobytes()
+            assert res.objective_history == tuple(history)
 
 
 class TestTree:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import os
 import socket
@@ -22,7 +23,7 @@ from streammem.harness import (
     smooth_texture,
     synth_scenes,
 )
-from streammem.memory_core import MemoryConfig, MemoryStore
+from streammem.memory_core import PRESETS, MemoryConfig, MemoryStore
 from streammem.pipeline import (
     Engine,
     QueryRequest,
@@ -199,6 +200,30 @@ class TestRunSim:
         assert len(store.tree) == expected_units
 
 
+# sha256 of run_sim(...).to_json_str(), taken from the implementation that
+# ran k-means one restart and one cluster at a time, took the gate's
+# gradients afresh on every compare and averaged each histogram cell alone:
+# making these kernels faster must not change a report byte
+REPORT_SHA256 = {
+    ("slow", 14101): "8ed68c48b6133e14a1b8e2d1c5093f130b73fef9204d187c94139b9201570a4d",
+    ("slow", 14102): "43f18bff2d34df47244d86ef78d904558984ab292e8ef43454e4d275000f2a94",
+    ("base", 14101): "cb91a859efe3384625af06143fe0e47f2570afede21acc84ce5b6d0d90ec6f4f",
+    ("base", 14102): "06b7bd618ad9de5f87172e5d7925457a785acfe40cc157b549d7ca6b8689d26b",
+    ("fast", 14101): "ad6b449c3ff97aeb7a7bf571330678673bcbd5ef455420fabe2926e954b7479f",
+    ("fast", 14102): "354c72af9056b7700d4efee2d3546dc701d848584234e2396d98e69abe8dab64",
+}
+
+
+@pytest.mark.parametrize(("preset", "seed"), list(REPORT_SHA256))
+def test_report_bytes_pinned(preset, seed):
+    cfg = dataclasses.replace(PRESETS[preset], rng_seed=seed)
+    trace = gen_trace(6, 20, fps=10, seed=seed)
+    queries = [QueryRequest(q.question, q.t_input) for q in trace.queries]
+    report = run_sim(trace.frames(), queries, cfg, GateConfig(threshold_t=cfg.threshold_t),
+                     stub_ports())
+    assert hashlib.sha256(report.to_json_str().encode()).hexdigest() == REPORT_SHA256[(preset, seed)]
+
+
 class TestWallMode:
     def test_basic_run_produces_answers_and_valid_snapshots(self):
         frames = moving_scene_frames(n_scenes=2, duration=8.0)
@@ -265,6 +290,11 @@ class FailingSummarizer(TagCaptioner):
         raise RuntimeError("summarizer down")
 
 
+class FailingGenerator:
+    def __call__(self, bundle):
+        raise RuntimeError("generator down")
+
+
 class FailingFrameEncoder:
     def __init__(self, inner, fail_at):
         self.inner = inner
@@ -326,6 +356,35 @@ class TestWallFailures:
         )
         assert isinstance(error, BackendError)
         assert "summarizer down" in str(error)
+
+    def test_failing_generator_is_answer_error_in_sim(self):
+        ports = dataclasses.replace(stub_ports(), generator=FailingGenerator())
+        frames = moving_scene_frames(n_scenes=3, duration=10.0)
+        report = run_sim(frames, wall_queries(), small_cfg(), GateConfig(), ports)
+        assert [(a.answer, a.error) for a in report.answers] == (
+            [("", "generation failed: generator down")] * len(wall_queries())
+        )
+
+    def test_failing_generator_is_answer_error_in_engine(self):
+        ports = dataclasses.replace(stub_ports(), generator=FailingGenerator())
+        engine = Engine(small_cfg(), GateConfig(), ports)
+        engine.start(iter(moving_scene_frames(n_scenes=1, duration=2.0)))
+        assert engine.wait_source_done(10.0)
+        assert engine.submit_query("what is in scene0").error == "generation failed: generator down"
+        _, error = finish_within(engine.stop, 10.0)
+        assert error is None
+        assert engine.latest_snapshot().dialogue == ()  # a failed answer forms no turn
+
+    def test_empty_question_refused_and_engine_answers_on(self):
+        engine = Engine(small_cfg(), GateConfig(), stub_ports())
+        engine.start(iter(moving_scene_frames(n_scenes=1, duration=2.0)))
+        assert engine.wait_source_done(10.0)
+        with pytest.raises(InputError):
+            engine.submit_query("")
+        assert engine.submit_query("what is in scene0").error is None
+        _, error = finish_within(engine.stop, 10.0)
+        assert error is None
+        assert [e.question for e in engine.latest_snapshot().dialogue] == ["what is in scene0"]
 
     def test_failing_frame_encoder_is_raised(self):
         ports = stub_ports()

@@ -101,6 +101,40 @@ class TestStubFrameEncoder:
 
         assert mean_cos(same_a, same_b) > mean_cos(same_a, other)
 
+    @staticmethod
+    def block_mean_key(pixels):
+        """The key as one mean() per cell: the reference."""
+        h, w = pixels.shape
+        cells = []
+        for i in range(4):
+            for j in range(4):
+                block = pixels[i * h // 4 : (i + 1) * h // 4, j * w // 4 : (j + 1) * w // 4]
+                cells.append(int(round(float(block.mean()) * (StubFrameEncoder.HIST_LEVELS - 1))))
+        return bytes(cells)
+
+    @pytest.mark.parametrize("shape", [(48, 48), (50, 37), (5, 4)])
+    def test_histogram_key_is_quantized_block_means(self, shape):
+        rng = np.random.default_rng(14401)
+        for _ in range(50):
+            pixels = rng.random(shape)
+            assert StubFrameEncoder()._histogram_key(pixels) == self.block_mean_key(pixels)
+
+    @pytest.mark.parametrize("seed", [115, 343])
+    def test_histogram_key_at_a_rounding_boundary(self, seed):
+        # 8-bit frames can put a cell mean exactly halfway between two
+        # levels, where the order of summation decides the rounding
+        levels = np.random.default_rng(seed).integers(0, 256, (8, 8))
+        # a cell's level is 7 * sum / (255 * 4), a half level when
+        # 2 * 7 * sum is an odd multiple of 255 * 4
+        twice = 2 * 7 * levels.reshape(4, 2, 4, 2).sum(axis=(1, 3))
+        assert ((twice % (255 * 4) == 0) & (twice // (255 * 4) % 2 == 1)).any()
+        pixels = levels / 255.0
+        assert StubFrameEncoder()._histogram_key(pixels) == self.block_mean_key(pixels)
+
+    def test_frame_smaller_than_histogram_grid_rejected(self):
+        with pytest.raises(InputError):
+            StubFrameEncoder()(Frame(pixels=np.full((3, 8), 0.5), timestamp=0.0))
+
 
 class TestTagCaptioner:
     def test_single_tag(self):
