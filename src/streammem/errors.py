@@ -18,15 +18,26 @@ class InputError(StreamMemError):
 class BackendError(StreamMemError):
     """A model port (stub or remote) failed to produce a result."""
 
-    def __init__(self, message, endpoint=None, attempts=None, span=None):
+    def __init__(self, message, endpoint=None, attempts=None):
         super().__init__(message)
         self.endpoint = endpoint
         self.attempts = attempts
-        self.span = span
 
 
 class ProtocolError(BackendError):
     """A remote backend answered with a malformed payload."""
+
+
+def call_port(what: str, fn, *args):
+    """Call a model port.  An engine error passes through unchanged; any
+    other failure becomes a BackendError, so a failing port is CLI exit 3
+    (or an answer's error) and never a raw traceback."""
+    try:
+        return fn(*args)
+    except StreamMemError:
+        raise
+    except Exception as exc:
+        raise BackendError(f"{what} failed: {exc}") from exc
 
 
 def require_finite(config) -> None:

@@ -109,7 +109,12 @@ class MotionReference:
 
     @staticmethod
     def of(frame: Frame) -> "MotionReference":
-        stride = max(1, math.ceil(max(frame.pixels.shape) / DOWNSAMPLE_MAX_EDGE))
+        """The stride keeps both downsampled sides at 2 pixels or more, which
+        central differences need."""
+        short = min(frame.pixels.shape)
+        if short < 2:
+            raise InputError(f"a frame needs at least 2 x 2 pixels, got {frame.pixels.shape}")
+        stride = max(1, min(math.ceil(max(frame.pixels.shape) / DOWNSAMPLE_MAX_EDGE), short - 1))
         p = frame.pixels[::stride, ::stride].astype(np.float64)
         iy, ix = np.gradient(p)
         return MotionReference(

@@ -11,19 +11,28 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, call_port
 from .frame_gate import Frame, GateConfig
 from .memory_core import MemoryConfig, derive_seed
 from .pipeline import AnswerRecord, Engine, QueryRequest, RunReport, run
 from .ports import PASS_SCORE, PortSet
 
 TASK_TYPES = ("OS", "LM", "SM", "CI", "KG", "SF")
+
+
+def _require_number(name: str, value, kind=numbers.Real) -> None:
+    """Raise InputError unless a trace's number is one: a string or a bool
+    (which Python counts as an integer) is not."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a number"
+        raise InputError(f"{name} must be {noun}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +46,8 @@ class SceneDef:
     motion: float  # in [0, 1]
 
     def __post_init__(self):
+        _require_number("scene duration", self.duration)
+        _require_number("motion level", self.motion)
         if not 0 < self.duration < math.inf:
             raise InputError(f"scene duration must be positive and finite, got {self.duration}")
         if not 0.0 <= self.motion <= 1.0:
@@ -53,33 +64,30 @@ class SceneSpec:
     max_shift: float = 3.0
 
     def __post_init__(self):
+        for name in ("fps", "noise", "max_shift"):
+            _require_number(name, getattr(self, name))
+        for name in ("seed", "frame_size"):
+            _require_number(name, getattr(self, name), numbers.Integral)
         if not 0 < self.fps < math.inf:
             raise InputError(f"fps must be positive and finite, got {self.fps}")
         if not 0 <= self.noise < math.inf:
             raise InputError(f"noise must be non-negative and finite, got {self.noise}")
         # a frame must hold at least the stub frame encoder's 4 x 4 histogram cells
-        if not isinstance(self.frame_size, int) or self.frame_size < 4:
+        if self.frame_size < 4:
             raise InputError(f"frame_size must be an integer >= 4, got {self.frame_size!r}")
         if not math.isfinite(self.max_shift):
             raise InputError(f"max_shift must be finite, got {self.max_shift}")
 
     def to_json(self) -> dict:
-        return {
-            "scenes": [
-                {"tags": list(s.tags), "duration": s.duration, "motion": s.motion}
-                for s in self.scenes
-            ],
-            "fps": self.fps,
-            "noise": self.noise,
-            "seed": self.seed,
-            "frame_size": self.frame_size,
-            "max_shift": self.max_shift,
-        }
+        """The spec as JSON values, lists where the dataclass holds tuples."""
+        doc = dataclasses.asdict(self)
+        doc["scenes"] = [dict(s, tags=list(s["tags"])) for s in doc["scenes"]]
+        return doc
 
     @staticmethod
     def from_json(doc) -> "SceneSpec":
-        """Parse a trace header's spec; a missing field or a value of the
-        wrong type is an InputError."""
+        """Parse a trace header's spec; a missing or unknown field or a value
+        of the wrong type is an InputError."""
         if not isinstance(doc, dict):
             raise InputError("a synthetic frame source needs a 'spec' object")
 
@@ -87,20 +95,13 @@ class SceneSpec:
             tags = s["tags"]
             if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
                 raise InputError(f"scene tags must be a list of strings, got {tags!r}")
-            return SceneDef(tags=tuple(tags), duration=s["duration"], motion=s["motion"])
+            return SceneDef(**{**s, "tags": tuple(tags)})
 
         try:
-            return SceneSpec(
-                scenes=tuple(scene(s) for s in doc["scenes"]),
-                fps=doc.get("fps", 5.0),
-                noise=doc.get("noise", 0.0),
-                seed=doc.get("seed", 0),
-                frame_size=doc.get("frame_size", 48),
-                max_shift=doc.get("max_shift", 3.0),
-            )
+            return SceneSpec(**{**doc, "scenes": tuple(scene(s) for s in doc["scenes"])})
         except KeyError as exc:
             raise InputError(f"synthetic spec lacks field {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, InputError) as exc:
             raise InputError(f"bad synthetic spec: {exc}") from exc
 
 
@@ -168,12 +169,14 @@ def frames_from_dir(path: str | Path, fps: float = 1.0) -> list[Frame]:
 class TraceQuery:
     t_input: float
     question: str
-    reference_answer: str
-    task_type: str
+    reference_answer: str = ""
+    task_type: str = "SF"
 
     def __post_init__(self):
+        _require_number("t_input", self.t_input)
         if not math.isfinite(self.t_input):
             raise InputError(f"t_input must be finite, got {self.t_input}")
+        object.__setattr__(self, "t_input", float(self.t_input))  # reports write times as floats
         if not isinstance(self.question, str) or not self.question:
             raise InputError(f"question must be a non-empty string, got {self.question!r}")
         if not isinstance(self.reference_answer, str):
@@ -203,18 +206,7 @@ def save_trace(trace: Trace, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"type": "header", "source": trace.source}) + "\n")
         for q in trace.queries:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "query",
-                        "t_input": q.t_input,
-                        "question": q.question,
-                        "reference_answer": q.reference_answer,
-                        "task_type": q.task_type,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"type": "query", **dataclasses.asdict(q)}) + "\n")
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -235,20 +227,13 @@ def load_trace(path: str | Path) -> Trace:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise InputError(f"{path}:{lineno}: a record must be a JSON object")
-            kind = doc.get("type")
+            kind = doc.pop("type", None)
             if kind == "header":
                 source = doc.get("source")
             elif kind == "query":
                 try:
-                    queries.append(
-                        TraceQuery(
-                            t_input=float(doc["t_input"]),
-                            question=doc["question"],
-                            reference_answer=doc.get("reference_answer", ""),
-                            task_type=doc.get("task_type", "SF"),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError, InputError) as exc:
+                    queries.append(TraceQuery(**doc))
+                except (TypeError, InputError) as exc:
                     raise InputError(f"{path}:{lineno}: bad query record: {exc}") from exc
             else:
                 raise InputError(f"{path}:{lineno}: unknown record type {kind!r}")
@@ -343,14 +328,7 @@ class MetricsReport:
     per_task: dict
 
     def to_json(self) -> dict:
-        return {
-            "mean_score": self.mean_score,
-            "accuracy": self.accuracy,
-            "coherence": self.coherence,
-            "rpd_mean": self.rpd_mean,
-            "rpd_p95": self.rpd_p95,
-            "per_task": self.per_task,
-        }
+        return dataclasses.asdict(self)
 
 
 def compute_metrics(scored: list[ScoredAnswer]) -> MetricsReport:
@@ -391,13 +369,12 @@ def compute_metrics(scored: list[ScoredAnswer]) -> MetricsReport:
 def judge_answers(
     report: RunReport, queries: tuple[TraceQuery, ...], judge
 ) -> list[ScoredAnswer]:
+    """Score each answer; a failed answer scores 0 unjudged, and a failing
+    judge is a BackendError."""
     scored = []
     for record, query in zip(report.answers, queries):
-        if record.error is not None:
-            scored.append(ScoredAnswer(record=record, score=0, verdict="no",
-                                       task_type=query.task_type))
-            continue
-        verdict, score = judge(query.question, query.reference_answer, record.answer)
+        verdict, score = ("no", 0) if record.error is not None else call_port(
+            "judging", judge, query.question, query.reference_answer, record.answer)
         scored.append(ScoredAnswer(record=record, score=score, verdict=verdict,
                                    task_type=query.task_type))
     return scored
@@ -429,26 +406,9 @@ def run_benchmark(
         (out / "report.json").write_text(text + "\n")
         with open(out / "transcript.jsonl", "w") as fh:
             for s, q in zip(scored, trace.queries):
-                fh.write(
-                    json.dumps(
-                        {
-                            "question": s.record.question,
-                            "answer": s.record.answer,
-                            "reference_answer": q.reference_answer,
-                            "task_type": s.task_type,
-                            "score": s.score,
-                            "verdict": s.verdict,
-                            "t_input": s.record.t_input,
-                            "t_start": s.record.t_start,
-                            "rpd": s.record.rpd,
-                            "bundle_digest": s.record.bundle_digest,
-                            "error": s.record.error,
-                        },
-                        sort_keys=True,
-                        allow_nan=False,
-                    )
-                    + "\n"
-                )
+                line = {**s.record.to_json(), "reference_answer": q.reference_answer,
+                        "task_type": s.task_type, "score": s.score, "verdict": s.verdict}
+                fh.write(json.dumps(line, sort_keys=True, allow_nan=False) + "\n")
     return report, metrics, doc
 
 

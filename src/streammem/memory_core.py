@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BackendError, InputError, require_finite
+from .errors import InputError, call_port, require_finite
 from .frame_gate import Chunk, VisionEmbedding
 
 __all__ = [
@@ -286,11 +286,9 @@ def _build_node(points, seed, cfg, describe, text_encoder, span, level, start=0,
     """Cluster `points`, caption them with `describe()` and encode the
     caption; a failing port surfaces as a BackendError."""
     result = kmeans(points, cfg.cluster_goal_C, seed)
-    try:
-        caption = describe()
-        caption_vec = text_encoder(caption)
-    except Exception as exc:
-        raise BackendError(f"captioning failed for span {span}: {exc}", span=span) from exc
+    what = f"captioning span {span}"
+    caption = call_port(what, describe)
+    caption_vec = call_port(what, text_encoder, caption)
     return TreeNode(
         centroids=result.centroids,
         caption=caption,
@@ -445,10 +443,8 @@ class DialogueMemory:
     def append(self, question: str, answer: str, text_encoder, timestamp: float) -> DialogueEntry:
         if not question:
             raise InputError("dialogue question must be nonempty")
-        try:
-            vec = np.asarray(text_encoder(f"Q: {question} A: {answer}"), dtype=np.float64)
-        except Exception as exc:
-            raise BackendError(f"dialogue encoding failed: {exc}") from exc
+        vec = np.asarray(call_port("dialogue encoding", text_encoder, f"Q: {question} A: {answer}"),
+                         dtype=np.float64)
         entry = DialogueEntry(
             question=question,
             answer=answer,

@@ -24,7 +24,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .errors import BackendError, InputError
+from .errors import BackendError, InputError, call_port
 from .frame_gate import Chunk, Frame, FrameGate, GateConfig, VisionBuffer
 from .memory_core import MemoryConfig, MemoryStore
 from .ports import PortSet
@@ -64,16 +64,7 @@ class RunReport:
     clock_mode: str
 
     def to_json(self) -> dict:
-        return {
-            "frames_in": self.frames_in,
-            "frames_kept": self.frames_kept,
-            "duration": self.duration,
-            "fps_in": self.fps_in,
-            "fps_kept": self.fps_kept,
-            "clock_mode": self.clock_mode,
-            "config": self.config,
-            "answers": [a.to_json() for a in self.answers],
-        }
+        return dataclasses.asdict(self)
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -98,17 +89,6 @@ def _report(frames_in, frames_kept, duration, answers, mem_cfg, gate_cfg, mode) 
 # the stage core
 
 
-def _call_port(what: str, fn, *args):
-    """Call a model port; a failure that is not yet a BackendError becomes
-    one, so a failing port is an answer's error, not a crash."""
-    try:
-        return fn(*args)
-    except BackendError:
-        raise
-    except Exception as exc:
-        raise BackendError(f"{what} failed: {exc}") from exc
-
-
 class Stages:
     """The stage logic both drivers share: intake gates, encodes and buffers
     frames, formation writes chunks and answered turns into the store, and
@@ -130,7 +110,7 @@ class Stages:
         if not self.gate.update(frame).kept:
             return None
         self.frames_kept += 1
-        return self.buf.push(self.ports.frame_encoder(frame))
+        return self.buf.push(call_port("frame encoding", self.ports.frame_encoder, frame))
 
     def form(self, item: Chunk | AnswerRecord) -> None:
         """Write a chunk, or an answered turn, into memory."""
@@ -148,12 +128,12 @@ class Stages:
         done."""
         answer, digest, path, error = "", "", None, None
         try:
-            q = _call_port("query encoding", encode_query, question, self.ports.text_encoder)
+            q = call_port("query encoding", encode_query, question, self.ports.text_encoder)
             bundle = assemble_context(snapshot, q, self.mem_cfg)
             path = bundle.path
             digest = bundle_digest(bundle)
             t_start = now()
-            answer = _call_port("generation", self.ports.generator, bundle)
+            answer = call_port("generation", self.ports.generator, bundle)
         except BackendError as exc:
             error = str(exc)
             t_start = now()

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import json
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from streammem.cli import main
-from streammem.errors import InputError
+from streammem.errors import BackendError, InputError
 from streammem.frame_gate import FrameGate, GateConfig
 from streammem.harness import (
     SWEEP_COLUMNS,
@@ -23,7 +25,7 @@ from streammem.harness import (
     sweep,
     synth_scenes,
 )
-from streammem.memory_core import MemoryConfig
+from streammem.memory_core import PRESETS, MemoryConfig
 from streammem.pipeline import AnswerRecord
 from streammem.ports import stub_ports
 
@@ -147,6 +149,57 @@ class TestTraceIO:
         with pytest.raises(InputError):
             TraceQuery(t_input=0.0, question="q", reference_answer="", task_type="XX")
 
+    def test_integer_t_input_is_held_as_a_float(self, tmp_path):
+        path = tmp_path / "int.jsonl"
+        lines = [
+            {"type": "header", "source": {"kind": "dir", "path": "x"}},
+            {"type": "query", "t_input": 5, "question": "q"},
+        ]
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        (query,) = load_trace(path).queries
+        assert type(query.t_input) is float and query.t_input == 5.0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("seed", "abc"), ("seed", 1.5), ("seed", True), ("frame_size", True),
+         ("fps", "5"), ("noise", True), ("max_shift", False)],
+    )
+    def test_spec_numbers_must_be_numbers(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be"):
+            SceneSpec(scenes=(SceneDef(("a",), 1.0, 0.0),), **{field: value})
+
+    @pytest.mark.parametrize("field,value", [("duration", True), ("motion", "0.5")])
+    def test_scene_numbers_must_be_numbers(self, field, value):
+        scene = {"tags": ("kitchen",), "duration": 4.0, "motion": 0.5, field: value}
+        with pytest.raises(InputError, match="must be a number"):
+            SceneDef(**scene)
+
+    def test_spec_defaults_come_from_the_dataclass(self):
+        spec = SceneSpec.from_json({"scenes": [{"tags": ["a"], "duration": 1.0, "motion": 0.0}]})
+        assert spec == SceneSpec(scenes=(SceneDef(("a",), 1.0, 0.0),))
+
+
+# sha256 of the files save_trace and run_benchmark write for gen_trace(6, 20,
+# fps=10, seed=15104), taken from the implementation that listed each
+# record's fields by hand: serializing from the dataclasses changes no byte
+TRACE_SHA256 = "0df15585740b31388a7ddfcfeb8f034edd05b323cbfae5823316730dd5a6a349"
+REPORT_JSON_SHA256 = {
+    "slow": "6490b33c76e9ea0055f0642dad0ac42fd738f6b4185679d89ea1ce7d0b182b1d",
+    "fast": "23b2d34f564f9e9b3a97aad81104f3df4925a0c146ff68074895c15b597b1ee5",
+}
+
+
+@pytest.mark.parametrize("preset", list(REPORT_JSON_SHA256))
+def test_trace_and_report_bytes_pinned(preset, tmp_path):
+    seed = 15104
+    trace = gen_trace(6, 20, fps=10, seed=seed)
+    save_trace(trace, tmp_path / "trace.jsonl")
+    assert hashlib.sha256((tmp_path / "trace.jsonl").read_bytes()).hexdigest() == TRACE_SHA256
+    cfg = dataclasses.replace(PRESETS[preset], rng_seed=seed)
+    run_benchmark(trace, cfg, stub_ports(), out_dir=tmp_path / "out")
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_JSON_SHA256[preset]
+
 
 class TestMetrics:
     def test_coherence_worked_example(self):
@@ -204,6 +257,34 @@ class TestRunBenchmark:
         assert {"question", "answer", "score", "verdict", "rpd"} <= set(first)
         assert doc["config"]["chunk_len_L"] == 5
         assert metrics.accuracy >= 0.0
+
+    def test_transcript_line_is_the_answer_record_and_its_judgement(self, short_trace,
+                                                                    tmp_path):
+        report, _, _ = run_benchmark(
+            short_trace,
+            MemoryConfig(chunk_len_L=5, group_size_g=2, cluster_goal_C=2),
+            stub_ports(),
+            out_dir=tmp_path,
+        )
+        lines = (tmp_path / "transcript.jsonl").read_text().splitlines()
+        for line, record, query in zip(lines, report.answers, short_trace.queries):
+            doc = json.loads(line)
+            judged = {k: doc.pop(k) for k in ("reference_answer", "task_type", "score", "verdict")}
+            assert doc == record.to_json()  # t_done included
+            assert judged["reference_answer"] == query.reference_answer
+            assert judged["task_type"] == query.task_type
+            assert judged["verdict"] in ("yes", "no") and 0 <= judged["score"] <= 5
+
+    def test_failing_judge_is_backend_error(self, short_trace, tmp_path):
+        def judge(question, reference, prediction):
+            raise RuntimeError("judge down")
+
+        ports = dataclasses.replace(stub_ports(), judge=judge)
+        with pytest.raises(BackendError, match="^judging failed: judge down$"):
+            run_benchmark(short_trace, MemoryConfig(chunk_len_L=5, group_size_g=2,
+                                                    cluster_goal_C=2),
+                          ports, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_recall_answers_name_their_scene(self, short_trace):
         _, _, doc = run_benchmark(
@@ -410,9 +491,19 @@ class TestCli:
             (["run", "{tmp}/t.jsonl"],
              '{"type": "query", "t_input": 20.0, "question": "q", "reference_answer": ["x"]}',
              "reference_answer must be a string"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": "20.5", "question": "q"}',
+             "t_input must be a number"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": true, "question": "q"}',
+             "t_input must be a number"),
+            (["run", "{tmp}/t.jsonl"],
+             '{"type": "query", "t_input": 20.0, "question": "q", "priority": 1}',
+             "unexpected keyword argument 'priority'"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": 20.0}',
+             "missing 1 required positional argument: 'question'"),
         ],
         ids=["gen-trace-0-scenes", "repl-0-scenes", "record-not-object",
-             "question-not-string", "question-empty", "reference-not-string"],
+             "question-not-string", "question-empty", "reference-not-string",
+             "t_input-string", "t_input-bool", "query-unknown-field", "query-lacks-question"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, record, message):
         trace_path = tmp_path / "t.jsonl"
@@ -426,6 +517,17 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert record is not None or not trace_path.exists()
+
+    def test_dir_trace_of_one_row_frames_exits_2(self, tmp_path, capsys):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for i in range(3):
+            (frames_dir / f"{i:03d}.pgm").write_bytes(b"P5\n8 1\n255\n" + bytes(range(i, i + 8)))
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(Trace(source={"kind": "dir", "path": str(frames_dir)}, queries=()), trace_path)
+        assert main(["run", str(trace_path), "--out", str(tmp_path / "out")]) == 2
+        assert "at least 2 x 2 pixels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -483,6 +585,18 @@ class TestCli:
             ({"kind": "synthetic", "spec": {"scenes": [
                 {"tags": ["kitchen", 3], "duration": 4.0, "motion": 0.5}]}}, "list of strings"),
             ({"kind": "dir", "path": ".", "fps": 0}, "fps must be positive"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "speed": 2.0}},
+             "unexpected keyword argument 'speed'"),
+            ({"kind": "synthetic", "spec": {"scenes": [
+                {"tags": ["kitchen"], "duration": 4.0, "motion": 0.5, "speed": 2.0}]}},
+             "unexpected keyword argument 'speed'"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "seed": "abc"}},
+             "seed must be an integer"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "noise": True}},
+             "noise must be a number"),
+            ({"kind": "synthetic", "spec": {"scenes": [
+                {"tags": ["kitchen"], "duration": 4.0, "motion": True}]}},
+             "motion level must be a number"),
         ],
     )
     def test_malformed_trace_header_exits_2(self, tmp_path, capsys, source, message):

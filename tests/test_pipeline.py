@@ -320,6 +320,11 @@ class DialogueFailingTextEncoder:
         return self.inner(text)
 
 
+class InputRejectingCaptioner(TagCaptioner):
+    def caption_chunk(self, chunk):
+        raise InputError("chunk rejected")
+
+
 class CountingCaptioner(TagCaptioner):
     def __init__(self):
         self.chunks = 0
@@ -390,9 +395,40 @@ class TestWallFailures:
         ports = stub_ports()
         ports.frame_encoder = FailingFrameEncoder(ports.frame_encoder, fail_at=10)
         _, error = self.run_failing(ports)
-        assert isinstance(error, RuntimeError)
-        assert str(error) == "frame encoder down"
+        assert isinstance(error, BackendError)
+        assert str(error) == "frame encoding failed: frame encoder down"
         assert ports.frame_encoder.calls == 10  # intake stopped at the failure
+
+    def test_failing_frame_encoder_is_backend_error_in_sim(self):
+        ports = stub_ports()
+        ports.frame_encoder = FailingFrameEncoder(ports.frame_encoder, fail_at=10)
+        with pytest.raises(BackendError, match="^frame encoding failed: frame encoder down$"):
+            run_sim(moving_scene_frames(), wall_queries(), small_cfg(), GateConfig(), ports)
+        assert ports.frame_encoder.calls == 10
+
+    def test_failing_frame_encoder_is_raised_from_engine_stop(self):
+        ports = stub_ports()
+        ports.frame_encoder = FailingFrameEncoder(ports.frame_encoder, fail_at=10)
+        engine = Engine(small_cfg(), GateConfig(), ports)
+        engine.start(iter(moving_scene_frames()))
+        assert engine.wait_source_done(10.0)  # the failure ends intake
+        _, error = finish_within(engine.stop, 10.0)
+        assert isinstance(error, BackendError)
+        assert str(error) == "frame encoding failed: frame encoder down"
+
+    @pytest.mark.parametrize(("captioner", "message"), [
+        (FailingCaptioner(), "captioner down"), (FailingSummarizer(), "summarizer down"),
+    ], ids=["chunk", "parent"])
+    def test_build_failure_names_its_span(self, captioner, message):
+        ports = dataclasses.replace(stub_ports(), captioner=captioner)
+        with pytest.raises(BackendError,
+                           match=rf"^captioning span \(\d+\.\d+, \d+\.\d+\) failed: {message}$"):
+            run_sim(moving_scene_frames(), [], small_cfg(), GateConfig(), ports)
+
+    def test_input_error_in_a_port_stays_an_input_error(self):
+        ports = dataclasses.replace(stub_ports(), captioner=InputRejectingCaptioner())
+        with pytest.raises(InputError, match="^chunk rejected$"):
+            run_sim(moving_scene_frames(), [], small_cfg(), GateConfig(), ports)
 
     def test_failing_dialogue_write_is_raised(self):
         ports = stub_ports()
@@ -438,6 +474,27 @@ class TestWallFailures:
         )
         assert error is None
         assert code == 3
+
+
+class TestThinFrames:
+    """The gate's stride leaves both downsampled sides at 2 pixels or more."""
+
+    @staticmethod
+    def frames(shape, n=12):
+        tex = np.random.default_rng(15108).random(shape)
+        return [Frame(pixels=np.roll(tex, 3 * i, axis=1), timestamp=float(i)) for i in range(n)]
+
+    @pytest.mark.parametrize("shape", [(8, 600), (4, 300), (600, 8)], ids=lambda s: "%dx%d" % s)
+    def test_thin_frames_pass_through_run_sim(self, shape):
+        queries = [QueryRequest("what is in the frame", 11.0)]
+        report = run_sim(self.frames(shape), queries, small_cfg(), GateConfig(), stub_ports())
+        assert report.frames_in == 12 and report.frames_kept >= 1
+        assert report.answers[0].error is None
+
+    @pytest.mark.parametrize("shape", [(1, 8), (8, 1)], ids=lambda s: "%dx%d" % s)
+    def test_frames_one_pixel_thin_rejected(self, shape):
+        with pytest.raises(InputError, match="2 x 2 pixels"):
+            run_sim(self.frames(shape), [], small_cfg(), GateConfig(), stub_ports())
 
 
 class TestWallScheduling:
