@@ -66,7 +66,7 @@ def _load_config(args) -> MemoryConfig:
     if args.config:
         try:
             from_file = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # bad JSON, or an integer over 4300 digits
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(from_file, dict):
             raise InputError(f"config {args.config} must hold a JSON object")

@@ -2,7 +2,9 @@
 replay, metric computation, parameter sweeps, and an interactive mode.
 
 The harness drives the pipeline from the caller's thread; only a wall-clock
-run adds a thread, the engine's one stream worker.
+run adds a thread, the engine's one stream worker.  Frames stream: a trace's
+source is checked before a run starts, and each frame is made or read only
+when the driver pulls it, so a run holds no list of its frames.
 """
 
 from __future__ import annotations
@@ -29,10 +31,17 @@ TASK_TYPES = ("OS", "LM", "SM", "CI", "KG", "SF")
 
 def _require_number(name: str, value, kind=numbers.Real) -> None:
     """Raise InputError unless a trace's number is one: a string or a bool
-    (which Python counts as an integer) is not."""
+    (which Python counts as an integer) is not.  A real must be finite,
+    which an integer too large for a float is not."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a number"
         raise InputError(f"{name} must be {noun}, got {value!r}")
+    try:
+        finite = kind is numbers.Integral or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise InputError(f"{name} must be finite, got {value!r:.40}")
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +57,8 @@ class SceneDef:
     def __post_init__(self):
         _require_number("scene duration", self.duration)
         _require_number("motion level", self.motion)
-        if not 0 < self.duration < math.inf:
-            raise InputError(f"scene duration must be positive and finite, got {self.duration}")
+        if not self.duration > 0:
+            raise InputError(f"scene duration must be positive, got {self.duration}")
         if not 0.0 <= self.motion <= 1.0:
             raise InputError("motion level must be in [0, 1]")
 
@@ -68,15 +77,13 @@ class SceneSpec:
             _require_number(name, getattr(self, name))
         for name in ("seed", "frame_size"):
             _require_number(name, getattr(self, name), numbers.Integral)
-        if not 0 < self.fps < math.inf:
-            raise InputError(f"fps must be positive and finite, got {self.fps}")
-        if not 0 <= self.noise < math.inf:
-            raise InputError(f"noise must be non-negative and finite, got {self.noise}")
+        if not self.fps > 0:
+            raise InputError(f"fps must be positive, got {self.fps}")
+        if not self.noise >= 0:
+            raise InputError(f"noise must be non-negative, got {self.noise}")
         # a frame must hold at least the stub frame encoder's 4 x 4 histogram cells
         if self.frame_size < 4:
             raise InputError(f"frame_size must be an integer >= 4, got {self.frame_size!r}")
-        if not math.isfinite(self.max_shift):
-            raise InputError(f"max_shift must be finite, got {self.max_shift}")
 
     def to_json(self) -> dict:
         """The spec as JSON values, lists where the dataclass holds tuples."""
@@ -124,41 +131,36 @@ def smooth_texture(rng: np.random.Generator, size: int, cutoff: int = 2) -> np.n
 
 
 def synth_scenes(spec: SceneSpec):
-    """Yield (frames, timeline): per scene, a tag-keyed base texture translated
-    by motion * max_shift px per frame plus seeded noise."""
-    frames: list[Frame] = []
-    timeline: list[tuple[float, float, tuple[str, ...]]] = []
-    t = 0.0
+    """Yield the spec's frames one at a time: per scene, a tag-keyed base
+    texture translated by motion * max_shift px per frame plus seeded noise.
+    Frame i is stamped i / fps."""
     frame_index = 0
     noise_rng = np.random.default_rng(derive_seed(spec.seed, "noise", 0))
-    for i, scene in enumerate(spec.scenes):
+    for scene in spec.scenes:
         tex_seed = derive_seed(spec.seed, "scene-tex:" + "|".join(scene.tags), 0)
         tex = smooth_texture(np.random.default_rng(tex_seed), spec.frame_size)
-        count = max(1, int(round(scene.duration * spec.fps)))
-        t0 = t
         offset = 0.0
-        for j in range(count):
+        for _ in range(max(1, int(round(scene.duration * spec.fps)))):
             shifted = np.roll(tex, int(round(offset)), axis=1)
             if spec.noise > 0:
                 shifted = np.clip(
                     shifted + noise_rng.normal(0.0, spec.noise, shifted.shape), 0.0, 1.0
                 )
-            frames.append(Frame(pixels=shifted, timestamp=t, tags=scene.tags))
+            yield Frame(pixels=shifted, timestamp=frame_index / spec.fps, tags=scene.tags)
             offset += scene.motion * spec.max_shift
             frame_index += 1
-            t = frame_index / spec.fps
-        timeline.append((t0, frames[-1].timestamp, scene.tags))
-    return frames, timeline
 
 
-def frames_from_dir(path: str | Path, fps: float = 1.0) -> list[Frame]:
-    """Grayscale PGM images ordered by filename, timestamps index/fps."""
-    if not isinstance(fps, (int, float)) or not 0 < fps < math.inf:
-        raise InputError(f"fps must be positive and finite, got {fps!r}")
+def frames_from_dir(path: str | Path, fps: float = 1.0):
+    """Grayscale PGM images ordered by filename, timestamps index/fps.  The
+    files are listed now; each is read when its frame is pulled."""
+    _require_number("fps", fps)
+    if not fps > 0:
+        raise InputError(f"fps must be positive, got {fps!r}")
     files = sorted(Path(path).glob("*.pgm"))
     if not files:
         raise InputError(f"no .pgm files in {path}")
-    return [Frame.from_pgm(f, timestamp=i / fps) for i, f in enumerate(files)]
+    return (Frame.from_pgm(f, timestamp=i / fps) for i, f in enumerate(files))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +176,6 @@ class TraceQuery:
 
     def __post_init__(self):
         _require_number("t_input", self.t_input)
-        if not math.isfinite(self.t_input):
-            raise InputError(f"t_input must be finite, got {self.t_input}")
         object.__setattr__(self, "t_input", float(self.t_input))  # reports write times as floats
         if not isinstance(self.question, str) or not self.question:
             raise InputError(f"question must be a non-empty string, got {self.question!r}")
@@ -185,21 +185,34 @@ class TraceQuery:
             raise InputError(f"unknown task type {self.task_type!r}")
 
 
+_SOURCE_FIELDS = {"synthetic": {"kind", "spec"}, "dir": {"kind", "path", "fps"}}
+
+
 @dataclass(frozen=True)
 class Trace:
     source: dict  # {"kind": "synthetic", "spec": {...}} | {"kind": "dir", ...}
     queries: tuple[TraceQuery, ...]
 
-    def frames(self) -> list[Frame]:
+    def iter_frames(self):
+        """The source's frames as an iterator.  The source is checked, and a
+        dir source's files listed, now; each frame is made or read when it
+        is pulled."""
         kind = self.source.get("kind")
+        if kind not in ("synthetic", "dir"):  # not the dict: a list kind is unhashable
+            raise InputError(f"unknown frame source kind {kind!r}")
+        unknown = sorted(set(self.source) - _SOURCE_FIELDS[kind])
+        if unknown:
+            raise InputError(f"unknown {kind} source field {unknown[0]!r}")
         if kind == "synthetic":
-            frames, _ = synth_scenes(SceneSpec.from_json(self.source.get("spec")))
-            return frames
-        if kind == "dir":
-            if "path" not in self.source:
-                raise InputError("a dir frame source needs a 'path'")
-            return frames_from_dir(self.source["path"], self.source.get("fps", 1.0))
-        raise InputError(f"unknown frame source kind {kind!r}")
+            return synth_scenes(SceneSpec.from_json(self.source.get("spec")))
+        path = self.source.get("path")
+        if not isinstance(path, str):
+            raise InputError(f"a dir frame source needs a 'path' string, got {path!r}")
+        return frames_from_dir(path, self.source.get("fps", 1.0))
+
+    def frames(self) -> list[Frame]:
+        """The frames as a list, for a caller that replays or indexes them."""
+        return list(self.iter_frames())
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
@@ -223,7 +236,7 @@ def load_trace(path: str | Path) -> Trace:
                 continue
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise InputError(f"{path}:{lineno}: a record must be a JSON object")
@@ -391,9 +404,8 @@ def run_benchmark(
     write report.json plus transcript.jsonl to out_dir.  The gate takes its
     threshold from `mem_cfg.threshold_t`."""
     gate_cfg = GateConfig(threshold_t=mem_cfg.threshold_t)
-    frames = trace.frames()
     requests = [QueryRequest(question=q.question, t_input=q.t_input) for q in trace.queries]
-    report = run(frames, requests, mem_cfg, gate_cfg, ports, clock_mode=clock_mode)
+    report = run(trace.iter_frames(), requests, mem_cfg, gate_cfg, ports, clock_mode=clock_mode)
     scored = judge_answers(report, trace.queries, ports.judge)
     metrics = compute_metrics(scored) if scored else None
 
@@ -473,9 +485,8 @@ def repl(
     from standard input; 'quit' or end-of-input shuts down cleanly."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    frames, _ = synth_scenes(spec)
     engine = Engine(mem_cfg, GateConfig(threshold_t=mem_cfg.threshold_t), ports)
-    engine.start(iter(frames))
+    engine.start(synth_scenes(spec))
     answers: list[AnswerRecord] = []
     try:
         for line in stdin:

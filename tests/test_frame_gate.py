@@ -126,7 +126,7 @@ class TestGate:
         # the gate keeps the kept frame's gradients; each decision must still
         # be the motion from that frame, on noisy frames that are not shifts
         scenes = (SceneDef(("a",), 6.0, 0.5), SceneDef(("b",), 6.0, 0.15))
-        frames, _ = synth_scenes(SceneSpec(scenes=scenes, fps=5.0, noise=0.03, seed=14301))
+        frames = list(synth_scenes(SceneSpec(scenes=scenes, fps=5.0, noise=0.03, seed=14301)))
         gate = FrameGate(GateConfig(threshold_t=0.35))
         last_kept = frames[0]
         assert gate.update(last_kept).kept

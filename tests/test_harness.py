@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from streammem.cli import main
 from streammem.errors import BackendError, InputError
-from streammem.frame_gate import FrameGate, GateConfig
+from streammem.frame_gate import Frame, FrameGate, GateConfig
 from streammem.harness import (
     SWEEP_COLUMNS,
     SceneDef,
@@ -60,23 +62,22 @@ def scored(scores, rpds=None, tasks=None):
 
 class TestSynthScenes:
     def test_deterministic(self):
-        a, _ = synth_scenes(spec_2scenes())
-        b, _ = synth_scenes(spec_2scenes())
+        a = list(synth_scenes(spec_2scenes()))
+        b = list(synth_scenes(spec_2scenes()))
         assert len(a) == len(b) == 40
         assert all(np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b))
 
     def test_zero_motion_zero_noise_frames_identical_within_scene(self):
-        frames, timeline = synth_scenes(spec_2scenes(motion=0.0))
+        frames = list(synth_scenes(spec_2scenes(motion=0.0)))
         first_scene = [f for f in frames if f.tags == ("kitchen",)]
         assert all(
             np.array_equal(first_scene[0].pixels, f.pixels) for f in first_scene
         )
-        assert timeline[0][2] == ("kitchen",)
 
     def test_zero_motion_stream_keeps_only_first_frame(self):
-        frames, _ = synth_scenes(
+        frames = list(synth_scenes(
             SceneSpec(scenes=(SceneDef(tags=("kitchen",), duration=4.0, motion=0.0),))
-        )
+        ))
         gate = FrameGate(GateConfig(threshold_t=0.35))
         kept = [gate.update(f).kept for f in frames]
         assert kept[0] is True
@@ -88,7 +89,7 @@ class TestSynthScenes:
         for motion in (0.0, 0.1, 0.2):
             boundary_mags, within_mags = [], []
             for seed in range(20):
-                frames, _ = synth_scenes(spec_2scenes(motion=motion, seed=seed))
+                frames = list(synth_scenes(spec_2scenes(motion=motion, seed=seed)))
                 mags = [
                     estimate_motion(p, c).magnitude
                     for p, c in zip(frames, frames[1:])
@@ -101,9 +102,14 @@ class TestSynthScenes:
             assert np.mean(boundary_mags) > np.mean(within_mags)
 
     def test_timestamps_follow_fps(self):
-        frames, _ = synth_scenes(spec_2scenes())
+        frames = list(synth_scenes(spec_2scenes()))
         assert frames[0].timestamp == 0.0
         assert frames[7].timestamp == pytest.approx(7 / 5.0)
+
+    def test_frames_stream(self):
+        frames = synth_scenes(spec_2scenes())
+        assert iter(frames) is frames
+        assert next(frames).tags == ("kitchen",)
 
 
 class TestTraceIO:
@@ -312,6 +318,20 @@ class TestRunBenchmark:
         assert config["gate_threshold_t"] == config["threshold_t"] == 0.2
         assert [k for k in config if k.startswith("gate_")] == ["gate_threshold_t"]
 
+    def test_peak_memory_does_not_grow_with_trace_length(self):
+        # frames stream, so a run holds what its memories hold and never the
+        # frame list: the 2400 frames that 3200 adds to 800 are 42 MiB of pixels
+        peaks = []
+        for scenes in (4, 16):  # 800 and 3200 frames
+            trace = gen_trace(scenes, 20.0, fps=10.0)
+            tracemalloc.start()
+            try:
+                run_benchmark(trace, MemoryConfig(), stub_ports())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 4 * 2**20, [f"{p / 2**20:.1f} MiB" for p in peaks]
+
 
 class TestSweep:
     def test_threshold_sweep_kept_ratio_monotone(self, short_trace, tmp_path):
@@ -366,7 +386,7 @@ class TestRepl:
         spec = SceneSpec(scenes=tuple(
             SceneDef(tags=(f"scene{i}",), duration=20.0, motion=0.5) for i in range(20)
         ))
-        frames, _ = synth_scenes(spec)
+        frames = list(synth_scenes(spec))
         report = repl(MemoryConfig(), stub_ports(), spec,
                       stdin=io.StringIO("quit\n"), stdout=io.StringIO())
         assert 0 < report.frames_in < len(frames)
@@ -433,6 +453,8 @@ class TestCli:
             ('{"chunk_len_L": "x"}', "bad config"),
             ('{"norm_scale": 3}', "unknown config field 'norm_scale'"),
             ('{"threshold_t": "x"}', "bad config"),
+            pytest.param('{"chunk_len_L": 1%s}' % ("0" * 5000), "cannot read config",
+                         id="integer-of-5001-digits"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
@@ -500,10 +522,15 @@ class TestCli:
              "unexpected keyword argument 'priority'"),
             (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": 20.0}',
              "missing 1 required positional argument: 'question'"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": 1%s, "question": "q"}'
+             % ("0" * 400), "t_input must be finite"),
+            (["run", "{tmp}/t.jsonl"], '{"type": "query", "t_input": 1%s, "question": "q"}'
+             % ("0" * 5000), "invalid JSON"),
         ],
         ids=["gen-trace-0-scenes", "repl-0-scenes", "record-not-object",
              "question-not-string", "question-empty", "reference-not-string",
-             "t_input-string", "t_input-bool", "query-unknown-field", "query-lacks-question"],
+             "t_input-string", "t_input-bool", "query-unknown-field", "query-lacks-question",
+             "t_input-400-digits", "t_input-5001-digits"],
     )
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, record, message):
         trace_path = tmp_path / "t.jsonl"
@@ -527,6 +554,32 @@ class TestCli:
         save_trace(Trace(source={"kind": "dir", "path": str(frames_dir)}, queries=()), trace_path)
         assert main(["run", str(trace_path), "--out", str(tmp_path / "out")]) == 2
         assert "at least 2 x 2 pixels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("clock", ["sim", "wall"])
+    def test_bad_pgm_mid_directory_exits_2(self, tmp_path, capsys, monkeypatch, clock):
+        # each file is read when the run pulls its frame: the frames before
+        # the bad one are gated first, and the run still ends in an input error
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        pixels = np.random.default_rng(0).integers(0, 256, (3, 64), dtype=np.uint8)
+        for i in range(3):
+            (frames_dir / f"{i:03d}.pgm").write_bytes(b"P5\n8 8\n255\n" + pixels[i].tobytes())
+        (frames_dir / "003.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(10))  # 10 of 64 pixels
+        query = TraceQuery(t_input=1.5, question="what is showing")
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(Trace(source={"kind": "dir", "path": str(frames_dir)}, queries=(query,)),
+                   trace_path)
+        events = []
+        read, update = Frame.from_pgm, FrameGate.update
+        monkeypatch.setattr(Frame, "from_pgm", staticmethod(
+            lambda path, timestamp: events.append(Path(path).name) or read(path, timestamp)))
+        monkeypatch.setattr(FrameGate, "update",
+                            lambda gate, frame: events.append("gate") or update(gate, frame))
+        assert main(["run", str(trace_path), "--clock", clock,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "cannot parse PGM" in capsys.readouterr().err
+        assert events == ["000.pgm", "gate", "001.pgm", "gate", "002.pgm", "gate", "003.pgm"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -597,6 +650,18 @@ class TestCli:
             ({"kind": "synthetic", "spec": {"scenes": [
                 {"tags": ["kitchen"], "duration": 4.0, "motion": True}]}},
              "motion level must be a number"),
+            ({"kind": "synthetic", "spec": {"scenes": [
+                {"tags": ["kitchen"], "duration": 10**400, "motion": 0.5}]}},
+             "scene duration must be finite"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "fps": 10**400}}, "fps must be finite"),
+            ({"kind": "dir", "path": 5}, "needs a 'path' string"),
+            ({"kind": "dir", "path": None}, "needs a 'path' string"),
+            ({"kind": "dir", "path": ["."]}, "needs a 'path' string"),
+            ({"kind": "dir", "path": ".", "fps": True}, "fps must be a number"),
+            ({"kind": "dir", "path": ".", "speed": 2.0}, "unknown dir source field 'speed'"),
+            ({"kind": "synthetic", "spec": {"scenes": []}, "speed": 2.0},
+             "unknown synthetic source field 'speed'"),
+            ({"kind": ["dir"], "path": "."}, "unknown frame source kind"),
         ],
     )
     def test_malformed_trace_header_exits_2(self, tmp_path, capsys, source, message):

@@ -44,7 +44,7 @@ def moving_scene_frames(n_scenes=3, duration=10.0, fps=5.0, seed=0, motion=0.5):
         fps=fps,
         seed=seed,
     )
-    frames, _ = synth_scenes(spec)
+    frames = list(synth_scenes(spec))
     return frames
 
 
@@ -652,7 +652,7 @@ class TestStop:
             from streammem.ports import stub_ports
 
             scene = SceneDef(tags=("kitchen",), duration=4.0, motion=0.5)
-            frames, _ = synth_scenes(SceneSpec(scenes=(scene,)))
+            frames = list(synth_scenes(SceneSpec(scenes=(scene,))))
             engine = Engine(MemoryConfig(chunk_len_L=5), GateConfig(), stub_ports())
             engine.start(iter(frames))
             assert engine.wait_source_done(10.0)
