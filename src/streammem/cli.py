@@ -70,15 +70,11 @@ def _load_config(args) -> MemoryConfig:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(from_file, dict):
             raise InputError(f"config {args.config} must hold a JSON object")
-        fields = {f.name for f in dataclasses.fields(MemoryConfig)}
-        for key in from_file:
-            if key not in fields:
-                raise InputError(f"unknown config field {key!r}")
         overrides.update(from_file)
-    try:
+    try:  # an unknown field is a TypeError, a bad value an InputError
         return dataclasses.replace(PRESETS[args.preset], **overrides)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad config {args.config}: {exc}") from exc
+    except (TypeError, InputError) as exc:
+        raise InputError(f"bad config {args.config or '--seed'}: {exc}") from exc
 
 
 def _build_ports(args):

@@ -4,7 +4,8 @@ InputError maps to CLI exit code 2, BackendError/ProtocolError to 3.
 """
 
 import dataclasses
-import math
+import numbers
+import sys
 
 
 class StreamMemError(Exception):
@@ -40,9 +41,24 @@ def call_port(what: str, fn, *args):
         raise BackendError(f"{what} failed: {exc}") from exc
 
 
-def require_finite(config) -> None:
-    """Raise InputError if a float field of a config dataclass is NaN or infinite."""
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InputError(f"{f.name} must be finite, got {value}")
+def require_number(name: str, value, integral: bool = False) -> None:
+    """Raise InputError unless an input number is one: a string or a bool
+    (which Python counts as an integer) is not, an integer must fit in a
+    signed 64-bit value, and a real must be finite, which an integer too
+    large for a float is not."""
+    kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{name} must be {noun}, got {value!r:.40}")
+    if integral and not -(2**63) <= value < 2**63:
+        raise InputError(f"{name} must be a 64-bit integer, got {value!r:.40}")
+    if not integral and not abs(value) <= sys.float_info.max:  # NaN compares false too
+        raise InputError(f"{name} must be finite, got {value!r:.40}")
+
+
+def check_numbers(record, prefix: str = "") -> None:
+    """require_number for each field of a dataclass record declared `int` or
+    `float`, naming the field after the prefix.  Each record's module
+    postpones annotations, so a field's type is its annotation's text."""
+    for f in dataclasses.fields(record):
+        if f.type in ("int", "float"):
+            require_number(prefix + f.name, getattr(record, f.name), f.type == "int")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, require_finite
+from .errors import InputError, check_numbers
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,10 @@ class Frame:
     @staticmethod
     def from_pgm(path: str | Path, timestamp: float, tags: tuple[str, ...] = ()) -> "Frame":
         """Load an 8-bit PGM (P2 or P5) as intensities value/255."""
-        data = Path(path).read_bytes()
         try:
-            pixels = _parse_pgm(data)
+            pixels = _parse_pgm(Path(path).read_bytes())
+        except OSError as exc:  # missing, unreadable, or a directory
+            raise InputError(f"cannot read PGM {path}: {exc}") from exc
         except (ValueError, IndexError) as exc:
             raise InputError(f"cannot parse PGM {path}: {exc}") from exc
         return Frame(pixels=pixels, timestamp=timestamp, tags=tags)
@@ -87,7 +88,7 @@ class GateConfig:
     threshold_t: float = 0.35
 
     def __post_init__(self):
-        require_finite(self)
+        check_numbers(self)
         if not 0.0 <= self.threshold_t <= 1.0:
             raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, call_port
+from .errors import InputError, call_port, check_numbers, require_number
 from .frame_gate import Frame, GateConfig
 from .memory_core import MemoryConfig, derive_seed
 from .pipeline import AnswerRecord, Engine, QueryRequest, RunReport, run
@@ -29,19 +27,8 @@ from .ports import PASS_SCORE, PortSet
 TASK_TYPES = ("OS", "LM", "SM", "CI", "KG", "SF")
 
 
-def _require_number(name: str, value, kind=numbers.Real) -> None:
-    """Raise InputError unless a trace's number is one: a string or a bool
-    (which Python counts as an integer) is not.  A real must be finite,
-    which an integer too large for a float is not."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if kind is numbers.Integral else "a number"
-        raise InputError(f"{name} must be {noun}, got {value!r}")
-    try:
-        finite = kind is numbers.Integral or math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise InputError(f"{name} must be finite, got {value!r:.40}")
+# a frame is frame_size**2 float64 pixels: 8 MiB at this cap
+MAX_FRAME_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +42,11 @@ class SceneDef:
     motion: float  # in [0, 1]
 
     def __post_init__(self):
-        _require_number("scene duration", self.duration)
-        _require_number("motion level", self.motion)
+        check_numbers(self, "scene ")
         if not self.duration > 0:
             raise InputError(f"scene duration must be positive, got {self.duration}")
         if not 0.0 <= self.motion <= 1.0:
-            raise InputError("motion level must be in [0, 1]")
+            raise InputError(f"scene motion must be in [0, 1], got {self.motion}")
 
 
 @dataclass(frozen=True)
@@ -73,17 +59,15 @@ class SceneSpec:
     max_shift: float = 3.0
 
     def __post_init__(self):
-        for name in ("fps", "noise", "max_shift"):
-            _require_number(name, getattr(self, name))
-        for name in ("seed", "frame_size"):
-            _require_number(name, getattr(self, name), numbers.Integral)
+        check_numbers(self)
         if not self.fps > 0:
             raise InputError(f"fps must be positive, got {self.fps}")
         if not self.noise >= 0:
             raise InputError(f"noise must be non-negative, got {self.noise}")
         # a frame must hold at least the stub frame encoder's 4 x 4 histogram cells
-        if self.frame_size < 4:
-            raise InputError(f"frame_size must be an integer >= 4, got {self.frame_size!r}")
+        if not 4 <= self.frame_size <= MAX_FRAME_SIZE:
+            raise InputError(
+                f"frame_size must be in [4, {MAX_FRAME_SIZE}], got {self.frame_size}")
 
     def to_json(self) -> dict:
         """The spec as JSON values, lists where the dataclass holds tuples."""
@@ -154,7 +138,7 @@ def synth_scenes(spec: SceneSpec):
 def frames_from_dir(path: str | Path, fps: float = 1.0):
     """Grayscale PGM images ordered by filename, timestamps index/fps.  The
     files are listed now; each is read when its frame is pulled."""
-    _require_number("fps", fps)
+    require_number("fps", fps)
     if not fps > 0:
         raise InputError(f"fps must be positive, got {fps!r}")
     files = sorted(Path(path).glob("*.pgm"))
@@ -175,7 +159,7 @@ class TraceQuery:
     task_type: str = "SF"
 
     def __post_init__(self):
-        _require_number("t_input", self.t_input)
+        check_numbers(self)
         object.__setattr__(self, "t_input", float(self.t_input))  # reports write times as floats
         if not isinstance(self.question, str) or not self.question:
             raise InputError(f"question must be a non-empty string, got {self.question!r}")
@@ -226,7 +210,7 @@ def load_trace(path: str | Path) -> Trace:
     source = None
     queries: list[TraceQuery] = []
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read trace {path}: {exc}") from exc
     with fh:
@@ -235,8 +219,8 @@ def load_trace(path: str | Path) -> Trace:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer of over 4300 digits
+                doc = json.loads(line.decode())
+            except ValueError as exc:  # not UTF-8, bad JSON, or an integer of over 4300 digits
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise InputError(f"{path}:{lineno}: a record must be a JSON object")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, call_port, require_finite
+from .errors import InputError, call_port, check_numbers
 from .frame_gate import Chunk, VisionEmbedding
 
 __all__ = [
@@ -52,7 +52,7 @@ class MemoryConfig:
     min_dialogue_sim: float = 0.35
 
     def __post_init__(self):
-        require_finite(self)
+        check_numbers(self)
         if not 0.0 <= self.threshold_t <= 1.0:
             raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
         if self.chunk_len_L < 1:

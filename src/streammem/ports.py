@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .errors import BackendError, InputError, ProtocolError
+from .errors import BackendError, InputError, ProtocolError, check_numbers
 from .frame_gate import Chunk, Frame, VisionEmbedding
 from .retrieval import bundle_to_json
 
@@ -29,7 +29,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # words often enough to send tree descent down the wrong branch
 TEXT_DIM = 512
 
-# judge scores run 0..5; an answer passes (verdict yes) at this score or above
+# judge scores run 0..MAX_SCORE; an answer passes (verdict yes) at PASS_SCORE or above
+MAX_SCORE = 5
 PASS_SCORE = 3
 
 
@@ -148,7 +149,7 @@ class EchoGenerator:
 
 
 def exact_match_judge(question: str, reference: str, prediction: str) -> tuple[str, int]:
-    """Token-set F1 mapped to a 0..5 score (round-half-to-even); verdict yes
+    """Token-set F1 mapped to a 0..MAX_SCORE score (round-half-to-even); verdict yes
     iff score >= PASS_SCORE."""
     ref = set(_tokenize(reference))
     pred = set(_tokenize(prediction))
@@ -162,7 +163,7 @@ def exact_match_judge(question: str, reference: str, prediction: str) -> tuple[s
             precision = overlap / len(pred)
             recall = overlap / len(ref)
             f1 = 2 * precision * recall / (precision + recall)
-    score = round(5 * f1)
+    score = round(MAX_SCORE * f1)
     return ("yes" if score >= PASS_SCORE else "no", score)
 
 
@@ -197,6 +198,7 @@ class RemoteBackendConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
+        check_numbers(self)
         if self.timeout <= 0:
             raise InputError("timeout must be positive")
 
@@ -261,6 +263,8 @@ def _require(payload: dict, key: str, endpoint: str, kind: type = object):
 
 
 def _is_number(x) -> bool:
+    # not errors.require_number, whose numbers.Real check costs about 1 us more
+    # a call: this runs on every element of each embed reply, on the query path
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
@@ -317,8 +321,12 @@ class RemoteJudge:
         )
         verdict = _require(reply, "verdict", "judge")
         score = _require(reply, "score", "judge")
-        if verdict not in ("yes", "no") or not isinstance(score, int):
-            raise ProtocolError("malformed judge response", endpoint="judge")
+        if verdict not in ("yes", "no"):
+            raise ProtocolError(f"judge verdict must be 'yes' or 'no', got {verdict!r:.40}",
+                                endpoint="judge")
+        if isinstance(score, bool) or not isinstance(score, int) or not 0 <= score <= MAX_SCORE:
+            raise ProtocolError(f"judge score must be an integer in 0..{MAX_SCORE}, "
+                                f"got {score!r:.40}", endpoint="judge")
         return (verdict, score)
 
 

@@ -12,6 +12,7 @@ from streammem.cli import main
 from streammem.errors import BackendError, InputError
 from streammem.frame_gate import Frame, FrameGate, GateConfig
 from streammem.harness import (
+    MAX_FRAME_SIZE,
     SWEEP_COLUMNS,
     SceneDef,
     SceneSpec,
@@ -451,16 +452,38 @@ class TestCli:
         [
             ("[1]", "must hold a JSON object"),
             ('{"chunk_len_L": "x"}', "bad config"),
-            ('{"norm_scale": 3}', "unknown config field 'norm_scale'"),
+            ('{"norm_scale": 3}', "unexpected keyword argument 'norm_scale'"),
             ('{"threshold_t": "x"}', "bad config"),
             pytest.param('{"chunk_len_L": 1%s}' % ("0" * 5000), "cannot read config",
                          id="integer-of-5001-digits"),
+            pytest.param('{"group_size_g": 2.5}', "c.json: group_size_g must be",
+                         id="group_size_g-fraction"),
+            pytest.param('{"cluster_goal_C": 2.5}', "c.json: cluster_goal_C must be",
+                         id="cluster_goal_C-fraction"),
+            pytest.param('{"short_len_S": 2.5}', "c.json: short_len_S must be",
+                         id="short_len_S-fraction"),
+            pytest.param('{"candidate_len_N": 1%s}' % ("0" * 400),
+                         "c.json: candidate_len_N must be a 64-bit integer",
+                         id="candidate_len_N-400-digits"),
+            pytest.param('{"chunk_len_L": true}', "c.json: chunk_len_L must be",
+                         id="chunk_len_L-bool"),
+            pytest.param('{"chunk_len_L": 2.5}', "c.json: chunk_len_L must be",
+                         id="chunk_len_L-fraction"),
+            pytest.param('{"threshold_t": true}', "c.json: threshold_t must be",
+                         id="threshold_t-bool"),
+            pytest.param('{"min_dialogue_sim": true}',
+                         "c.json: min_dialogue_sim must be", id="min_dialogue_sim-bool"),
+            pytest.param('{"rng_seed": 1.5}', "c.json: rng_seed must be",
+                         id="rng_seed-fraction"),
+            pytest.param('{"rng_seed": 9223372036854775808}',
+                         "c.json: rng_seed must be a 64-bit integer",
+                         id="rng_seed-2**63"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, config, message):
         trace_path = tmp_path / "trace.jsonl"
         main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
-        cfg_path = tmp_path / "cfg.json"
+        cfg_path = tmp_path / "c.json"
         cfg_path.write_text(config)
         assert main(["run", str(trace_path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
@@ -582,23 +605,43 @@ class TestCli:
         assert events == ["000.pgm", "gate", "001.pgm", "gate", "002.pgm", "gate", "003.pgm"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("clock", ["sim", "wall"])
+    def test_unreadable_pgm_exits_2(self, tmp_path, capsys, clock):
+        frames_dir = tmp_path / "frames"
+        (frames_dir / "000.pgm").mkdir(parents=True)  # listed as a frame, read as a directory
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(Trace(source={"kind": "dir", "path": str(frames_dir)}, queries=()), trace_path)
+        assert main(["run", str(trace_path), "--clock", clock,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "cannot read PGM" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_not_utf8_exits_2(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_bytes(b'{"type": "header", "source": {"kind": "dir", "path": "\xff"}}\n')
+        assert main(["run", str(trace_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"{trace_path}:1: invalid JSON: 'utf-8' codec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides,message",
         [
-            '{"min_dialogue_sim": NaN}',
-            '{"forgetting_scale_s": Infinity}',
-            '{"threshold_t": Infinity}',
-            '{"chunk_len_L": NaN}',
+            pytest.param(text, message, id=text) for text, message in [
+                ('{"min_dialogue_sim": NaN}', "must be finite"),
+                ('{"forgetting_scale_s": Infinity}', "must be finite"),
+                ('{"threshold_t": Infinity}', "must be finite"),
+                ('{"chunk_len_L": NaN}', "chunk_len_L must be an integer"),  # an int field
+            ]
         ],
     )
-    def test_non_finite_config_exits_2(self, tmp_path, capsys, overrides):
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, overrides, message):
         trace_path = tmp_path / "trace.jsonl"
         main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(overrides)
         assert main(["run", str(trace_path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "header,query",
@@ -649,7 +692,7 @@ class TestCli:
              "noise must be a number"),
             ({"kind": "synthetic", "spec": {"scenes": [
                 {"tags": ["kitchen"], "duration": 4.0, "motion": True}]}},
-             "motion level must be a number"),
+             "scene motion must be a number"),
             ({"kind": "synthetic", "spec": {"scenes": [
                 {"tags": ["kitchen"], "duration": 10**400, "motion": 0.5}]}},
              "scene duration must be finite"),
@@ -662,6 +705,11 @@ class TestCli:
             ({"kind": "synthetic", "spec": {"scenes": []}, "speed": 2.0},
              "unknown synthetic source field 'speed'"),
             ({"kind": ["dir"], "path": "."}, "unknown frame source kind"),
+            ({"kind": "synthetic", "spec": {"scenes": [], "frame_size": 2**40}},
+             "frame_size must be in [4, 1024]"),
+            ({"kind": "synthetic", "spec": {"scenes": [],
+                                             "frame_size": MAX_FRAME_SIZE + 1}},
+             "frame_size must be in [4, 1024]"),
         ],
     )
     def test_malformed_trace_header_exits_2(self, tmp_path, capsys, source, message):

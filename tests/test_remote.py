@@ -131,6 +131,30 @@ def test_judge_schema_validation(server):
     assert judge("q", "ref", "pred") == ("yes", 4)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"verdict": "yes", "score": true}',
+        '{"verdict": "no", "score": 99}',
+        '{"verdict": "no", "score": -1}',
+        '{"verdict": "yes", "score": 4.0}',
+        '{"verdict": "yes", "score": "4"}',
+        '{"verdict": "maybe", "score": 4}',
+        '{"verdict": "yes"}',
+    ],
+)
+def test_malformed_judge_reply_is_protocol_error(server, body):
+    MockHandler.reply_body = body
+    with pytest.raises(ProtocolError):
+        RemoteJudge(client_for(server))("q", "ref", "pred")
+
+
+@pytest.mark.parametrize("score", [0, 5])
+def test_judge_scores_at_the_ends_of_the_scale_pass(server, score):
+    MockHandler.reply_body = json.dumps({"verdict": "no", "score": score})
+    assert RemoteJudge(client_for(server))("q", "ref", "pred") == ("no", score)
+
+
 def test_api_key_sent_as_bearer(server, monkeypatch):
     monkeypatch.setenv("STREAMMEM_API_KEY", "sekrit")
     client_for(server).call("embed", {"texts": ["x"]})
