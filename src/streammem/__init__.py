@@ -9,7 +9,6 @@ from .frame_gate import (
     MotionEstimate,
     VisionBuffer,
     VisionEmbedding,
-    estimate_motion,
 )
 from .memory_core import (
     PRESETS,

@@ -124,8 +124,11 @@ class MotionReference:
         )
 
     def motion_to(self, cur: Frame) -> MotionEstimate:
-        """The motion from this reference frame to `cur`, as estimate_motion
-        defines it."""
+        """Single-window Lucas-Kanade flow from this reference frame to `cur`
+        over the whole (downsampled) frame: spatial gradients by central
+        differences on the reference, temporal derivative cur - reference.  A
+        near-singular structure matrix (flat frames) yields a degenerate
+        estimate with magnitude 0."""
         if self.shape != cur.pixels.shape:
             raise InputError(f"frame size mismatch: {self.shape} vs {cur.pixels.shape}")
         sxx, sxy, syy = self.sxx, self.sxy, self.syy
@@ -141,16 +144,6 @@ class MotionReference:
         v = (sxx * by - sxy * bx) / det * self.stride
         magnitude = min(math.hypot(u, v) / NORM_SCALE, 1.0)
         return MotionEstimate(u=u, v=v, magnitude=magnitude, degenerate=False)
-
-
-def estimate_motion(prev: Frame, cur: Frame) -> MotionEstimate:
-    """Single-window Lucas-Kanade flow over the whole (downsampled) frame.
-
-    Spatial gradients by central differences on the previous frame, temporal
-    derivative cur - prev.  A near-singular structure matrix (flat frames)
-    yields a degenerate estimate with magnitude 0.
-    """
-    return MotionReference.of(prev).motion_to(cur)
 
 
 @dataclass(frozen=True)

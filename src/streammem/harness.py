@@ -388,8 +388,9 @@ def run_benchmark(
     write report.json plus transcript.jsonl to out_dir.  The gate takes its
     threshold from `mem_cfg.threshold_t`."""
     gate_cfg = GateConfig(threshold_t=mem_cfg.threshold_t)
-    requests = [QueryRequest(question=q.question, t_input=q.t_input) for q in trace.queries]
-    report = run(trace.iter_frames(), requests, mem_cfg, gate_cfg, ports, clock_mode=clock_mode)
+    query_requests = [QueryRequest(question=q.question, t_input=q.t_input) for q in trace.queries]
+    report = run(trace.iter_frames(), query_requests, mem_cfg, gate_cfg, ports,
+                 clock_mode=clock_mode)
     scored = judge_answers(report, trace.queries, ports.judge)
     metrics = compute_metrics(scored) if scored else None
 

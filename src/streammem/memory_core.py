@@ -373,29 +373,6 @@ class MemoryTree:
     def view(self) -> TreeView:
         return tuple(tuple(level) for level in self.levels if level)
 
-    def level_sizes(self) -> list[int]:
-        return [len(level) for level in self.levels if level]
-
-
-def tree_view_to_json(view: TreeView) -> dict:
-    return {
-        "levels": [
-            [
-                {
-                    "centroids": node.centroids.tolist(),
-                    "caption": node.caption,
-                    "caption_vec": node.caption_vec.tolist(),
-                    "span": list(node.span),
-                    "level": node.level,
-                    "child_start": node.child_start,
-                    "child_end": node.child_end,
-                }
-                for node in level
-            ]
-            for level in view
-        ],
-    }
-
 
 def check_tree_invariants(view: TreeView, g: int) -> None:
     """Raise AssertionError if the view violates the tree shape contract."""

@@ -10,14 +10,19 @@ A minimal JSON-over-HTTP client lets real models replace the stubs.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import math
 import os
 import re
+import select
+import threading
 import time
+import weakref
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import BackendError, InputError, ProtocolError, check_numbers
 from .frame_gate import Chunk, Frame, VisionEmbedding
@@ -190,66 +195,108 @@ def stub_ports() -> PortSet:
 # remote backend
 
 
+# tries per call, the first included, and the wait before the first retry,
+# which doubles before each further one: 0.5 s, then 1 s
+ATTEMPTS = 3
+BACKOFF_BASE = 0.5
+
+
 @dataclass(frozen=True)
 class RemoteBackendConfig:
     base_url: str
     timeout: float = 10.0
-    retry_count: int = 3
-    backoff_base: float = 0.5
 
     def __post_init__(self):
         check_numbers(self)
         if self.timeout <= 0:
             raise InputError("timeout must be positive")
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # raises ValueError unless the port is a number in 0..65535
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad remote url {self.base_url!r:.80}: {exc}") from exc
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise InputError(f"remote url must be http:// or https:// with a host, "
+                             f"got {self.base_url!r:.80}")
 
 
 class RemoteClient:
-    """POSTs JSON payloads to base_url/{endpoint} with exponential backoff,
-    sending `Authorization: Bearer $STREAMMEM_API_KEY` when that is set."""
+    """POSTs JSON payloads to base_url/{endpoint}, retrying with exponential
+    backoff, and sends `Authorization: Bearer $STREAMMEM_API_KEY` when that is
+    set.  Each calling thread keeps its own connection alive, opened at its
+    first call: one HTTPConnection shared by two threads mixes their calls."""
 
     ENDPOINTS = ("embed", "caption", "generate", "judge")
 
     def __init__(self, cfg: RemoteBackendConfig):
         self.cfg = cfg
-        self.session = requests.Session()
+        self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []  # closed with the client
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            url = urlsplit(self.cfg.base_url)
+            https = url.scheme == "https"
+            kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            conn = self._local.conn = kind(url.hostname, url.port, timeout=self.cfg.timeout)
+            self._opened.append(conn)
+            if self._opened[0] is conn:  # exactly one thread opens the first
+                weakref.finalize(self, _close_all, self._opened)
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # an idle connection is readable only once the server has closed
+            # it: reconnect now rather than spend an attempt and a backoff
+            conn.close()
+        return conn
 
     def call(self, endpoint: str, payload: dict) -> dict:
         if endpoint not in self.ENDPOINTS:
             raise InputError(f"unknown endpoint {endpoint!r}")
+        try:
+            # bytes, so http.client sends headers and body in one send
+            body = json.dumps(payload, allow_nan=False).encode()
+        except (TypeError, ValueError) as exc:
+            raise BackendError(f"{endpoint} payload is not valid JSON: {exc}",
+                               endpoint=endpoint, attempts=0) from exc
+        headers = {"Content-Type": "application/json"}
         key = os.environ.get("STREAMMEM_API_KEY")
-        headers = {"Authorization": f"Bearer {key}"} if key else {}
-        url = self.cfg.base_url.rstrip("/") + "/" + endpoint
-        attempts = self.cfg.retry_count
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
+        path = urlsplit(self.cfg.base_url).path.rstrip("/") + "/" + endpoint
         last_error = None
-        for attempt in range(attempts):
+        for attempt in range(ATTEMPTS):
+            if attempt:
+                time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
+            conn = self._connection()
             try:
-                resp = self.session.post(
-                    url, json=payload, timeout=self.cfg.timeout, headers=headers
-                )
-                if 200 <= resp.status_code < 300:
-                    try:
-                        reply = resp.json()
-                    except ValueError as exc:
-                        raise ProtocolError(
-                            f"non-JSON response from {endpoint}", endpoint=endpoint
-                        ) from exc
-                    if not isinstance(reply, dict):
-                        raise ProtocolError(
-                            f"{endpoint} response is not a JSON object", endpoint=endpoint
-                        )
-                    return reply
-                last_error = f"HTTP {resp.status_code}"
-            except ProtocolError:
-                raise
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            if attempt + 1 < attempts:
-                time.sleep(self.cfg.backoff_base * (2**attempt))
+                conn.request("POST", path, body, headers)
+                resp = conn.getresponse()
+                data = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                last_error = f"{type(exc).__name__}: {exc}"
+                continue
+            if not 200 <= resp.status < 300:
+                last_error = f"HTTP {resp.status}"
+                continue
+            try:
+                reply = json.loads(data)
+            except ValueError as exc:
+                raise ProtocolError(f"non-JSON response from {endpoint}",
+                                    endpoint=endpoint) from exc
+            if not isinstance(reply, dict):
+                raise ProtocolError(f"{endpoint} response is not a JSON object", endpoint=endpoint)
+            return reply
         raise BackendError(
-            f"{endpoint} failed after {attempts} attempts: {last_error}",
+            f"{endpoint} failed after {ATTEMPTS} attempts: {last_error}",
             endpoint=endpoint,
-            attempts=attempts,
+            attempts=ATTEMPTS,
         )
+
+
+def _close_all(connections: list) -> None:
+    for conn in connections:
+        conn.close()
 
 
 def _require(payload: dict, key: str, endpoint: str, kind: type = object):

@@ -102,6 +102,28 @@ def lloyd_loop(points: np.ndarray, seeded: list[np.ndarray], max_iter: int):
     return best
 
 
+def tree_view_to_json(view) -> dict:
+    """A memory-tree view (levels of TreeNode, bottom first) as the plain
+    document argmax_descent walks."""
+    return {
+        "levels": [
+            [
+                {
+                    "centroids": node.centroids.tolist(),
+                    "caption": node.caption,
+                    "caption_vec": node.caption_vec.tolist(),
+                    "span": list(node.span),
+                    "level": node.level,
+                    "child_start": node.child_start,
+                    "child_end": node.child_end,
+                }
+                for node in level
+            ]
+            for level in view
+        ],
+    }
+
+
 def argmax_descent(tree_doc: dict, query_vec: np.ndarray) -> list[tuple[int, int]]:
     """Standalone greedy walk over a serialized tree document: per level pick
     the candidate with the highest cosine, ties to earlier span then lower

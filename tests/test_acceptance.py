@@ -26,10 +26,11 @@ from oracles import (
     best_partition_objective,
     iterated_ceil_sizes,
     ssd_shift,
+    tree_view_to_json,
 )
 from test_retrieval import random_tree_view
 from streammem.cli import main
-from streammem.frame_gate import Frame, FrameGate, GateConfig, estimate_motion
+from streammem.frame_gate import Frame, FrameGate, GateConfig, MotionReference
 from streammem.harness import compute_metrics, gen_trace, run_benchmark, smooth_texture
 from streammem.memory_core import (
     PRESETS,
@@ -39,7 +40,6 @@ from streammem.memory_core import (
     check_tree_invariants,
     kmeans,
     refresh_short_term,
-    tree_view_to_json,
 )
 from streammem.pipeline import AnswerRecord, Engine, QueryRequest, run_sim
 from streammem.ports import PortSet, TagCaptioner, hash_text_encode, stub_ports
@@ -56,12 +56,12 @@ def test_criterion_01_optical_flow_matches_ssd_oracle():
         dx, dy = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
         prev = Frame(pixels=tex, timestamp=0.0)
         cur = Frame(pixels=np.roll(np.roll(tex, dy, axis=0), dx, axis=1), timestamp=1.0)
-        est = estimate_motion(prev, cur)
+        est = MotionReference.of(prev).motion_to(cur)
         odx, ody = ssd_shift(prev.pixels, cur.pixels)
         if abs(est.u - odx) <= 0.5 and abs(est.v - ody) <= 0.5:
             hits += 1
     assert hits >= 48  # >= 95% of 50
-    same = estimate_motion(prev, prev)
+    same = MotionReference.of(prev).motion_to(prev)
     assert same.magnitude == 0.0
     assert time.monotonic() - started < 10.0
 
@@ -118,14 +118,13 @@ def test_criterion_04_tree_shape_law():
         tree = MemoryTree(cfg)
         for b in range(1, 201):
             tree.append(_dummy_unit(b - 1), captioner, encoder)
-            assert tree.level_sizes() == iterated_ceil_sizes(b, g), (
-                f"B={b}, g={g}: {tree.level_sizes()}"
-            )
+            sizes = [len(level) for level in tree.view()]
+            assert sizes == iterated_ceil_sizes(b, g), f"B={b}, g={g}: {sizes}"
     cfg = MemoryConfig(group_size_g=2, cluster_goal_C=2)
     tree = MemoryTree(cfg)
     for i in range(4):
         tree.append(_dummy_unit(i), captioner, encoder)
-    assert tree.level_sizes() == [4, 2]
+    assert [len(level) for level in tree.view()] == [4, 2]
 
 
 def test_criterion_05_descent_matches_argmax_oracle():
@@ -201,8 +200,8 @@ def test_criterion_08_end_to_end_recall_rates():
             generator=recorder,
             judge=base.judge,
         )
-        requests = [QueryRequest(q.question, q.t_input) for q in trace.queries]
-        run_sim(trace.frames(), requests, mem_cfg, gate_cfg, ports)
+        query_requests = [QueryRequest(q.question, q.t_input) for q in trace.queries]
+        run_sim(trace.frames(), query_requests, mem_cfg, gate_cfg, ports)
         for bundle, query in zip(recorder.bundles, trace.queries):
             tag = query.reference_answer.removeprefix("scene: ")
             if query.task_type in ("SM", "LM"):
@@ -237,8 +236,8 @@ def test_criterion_08_long_trace_recall():
             generator=recorder,
             judge=base.judge,
         )
-        requests = [QueryRequest(q.question, q.t_input) for q in trace.queries]
-        run_sim(trace.frames(), requests, mem_cfg, gate_cfg, ports)
+        query_requests = [QueryRequest(q.question, q.t_input) for q in trace.queries]
+        run_sim(trace.frames(), query_requests, mem_cfg, gate_cfg, ports)
         asked = [(b, q) for b, q in zip(recorder.bundles, trace.queries)
                  if q.task_type in ("SM", "LM")]
         hits = sum(q.reference_answer in b.path.best_caption for b, q in asked)
@@ -270,9 +269,9 @@ def test_criterion_09_concurrency_soundness():
 
     # simulated replay of one trace twice: byte-identical reports
     gate_cfg = GateConfig(threshold_t=0.35)
-    requests = [QueryRequest(q.question, q.t_input) for q in trace.queries]
-    first = run_sim(trace.frames(), requests, cfg, gate_cfg, stub_ports()).to_json_str()
-    second = run_sim(trace.frames(), requests, cfg, gate_cfg, stub_ports()).to_json_str()
+    query_requests = [QueryRequest(q.question, q.t_input) for q in trace.queries]
+    first = run_sim(trace.frames(), query_requests, cfg, gate_cfg, stub_ports()).to_json_str()
+    second = run_sim(trace.frames(), query_requests, cfg, gate_cfg, stub_ports()).to_json_str()
     assert first == second
 
 

@@ -12,8 +12,8 @@ from streammem.frame_gate import (
     Frame,
     FrameGate,
     GateConfig,
+    MotionReference,
     VisionBuffer,
-    estimate_motion,
     make_chunk,
 )
 from streammem.harness import SceneDef, SceneSpec, smooth_texture, synth_scenes
@@ -27,13 +27,13 @@ def texture_frame(seed, t=0.0, size=48, cutoff=2, tags=()):
 class TestEstimateMotion:
     def test_identical_frames_zero_motion(self):
         f = texture_frame(0)
-        est = estimate_motion(f, Frame(pixels=f.pixels, timestamp=1.0))
+        est = MotionReference.of(f).motion_to(Frame(pixels=f.pixels, timestamp=1.0))
         assert est.u == 0.0 and est.v == 0.0
         assert est.magnitude == 0.0
         assert not est.degenerate
 
     def test_flat_frames_degenerate(self):
-        est = estimate_motion(flat_frame(0.2, 0.0), flat_frame(0.8, 1.0))
+        est = MotionReference.of(flat_frame(0.2, 0.0)).motion_to(flat_frame(0.8, 1.0))
         assert est.degenerate
         assert est.magnitude == 0.0
 
@@ -41,12 +41,12 @@ class TestEstimateMotion:
         a = Frame(pixels=np.zeros((8, 8)), timestamp=0.0)
         b = Frame(pixels=np.zeros((8, 9)), timestamp=1.0)
         with pytest.raises(InputError):
-            estimate_motion(a, b)
+            MotionReference.of(a).motion_to(b)
 
     def test_recovers_unit_right_shift(self):
         f = texture_frame(7)
         cur = Frame(pixels=np.roll(f.pixels, 1, axis=1), timestamp=1.0)
-        est = estimate_motion(f, cur)
+        est = MotionReference.of(f).motion_to(cur)
         dx, dy = ssd_shift(f.pixels, cur.pixels)
         assert (dx, dy) == (1, 0)
         assert abs(est.u - 1) <= 0.5
@@ -54,17 +54,17 @@ class TestEstimateMotion:
 
     def test_antisymmetric_in_shift_direction(self):
         f = texture_frame(11)
-        right = estimate_motion(f, Frame(pixels=np.roll(f.pixels, 2, axis=1), timestamp=1.0))
-        left = estimate_motion(f, Frame(pixels=np.roll(f.pixels, -2, axis=1), timestamp=1.0))
+        ref = MotionReference.of(f)
+        right = ref.motion_to(Frame(pixels=np.roll(f.pixels, 2, axis=1), timestamp=1.0))
+        left = ref.motion_to(Frame(pixels=np.roll(f.pixels, -2, axis=1), timestamp=1.0))
         assert right.u > 0 > left.u
         assert abs(right.u + left.u) <= 1.0
 
     def test_downsampled_frames_rescale_displacement(self):
         # 128-px frame is strided down to <=64; u must still be in source px
         tex = smooth_texture(np.random.default_rng(3), 128, cutoff=2)
-        est = estimate_motion(
-            Frame(pixels=tex, timestamp=0.0),
-            Frame(pixels=np.roll(tex, 2, axis=1), timestamp=1.0),
+        est = MotionReference.of(Frame(pixels=tex, timestamp=0.0)).motion_to(
+            Frame(pixels=np.roll(tex, 2, axis=1), timestamp=1.0)
         )
         assert abs(est.u - 2) <= 1.0
 
@@ -74,7 +74,7 @@ class TestEstimateMotion:
         rng = np.random.default_rng(seed)
         a = Frame(pixels=rng.random((16, 16)), timestamp=0.0)
         b = Frame(pixels=rng.random((16, 16)), timestamp=1.0)
-        est = estimate_motion(a, b)
+        est = MotionReference.of(a).motion_to(b)
         assert 0.0 <= est.magnitude <= 1.0
         if est.degenerate:
             assert est.magnitude == 0.0
@@ -133,7 +133,7 @@ class TestGate:
         outcomes = set()
         for f in frames[1:]:
             decision = gate.update(f)
-            assert decision.magnitude == estimate_motion(last_kept, f).magnitude
+            assert decision.magnitude == MotionReference.of(last_kept).motion_to(f).magnitude
             outcomes.add(decision.kept)
             if decision.kept:
                 last_kept = f

@@ -10,7 +10,7 @@ import pytest
 
 from streammem.cli import main
 from streammem.errors import BackendError, InputError
-from streammem.frame_gate import Frame, FrameGate, GateConfig
+from streammem.frame_gate import Frame, FrameGate, GateConfig, MotionReference
 from streammem.harness import (
     MAX_FRAME_SIZE,
     SWEEP_COLUMNS,
@@ -85,14 +85,12 @@ class TestSynthScenes:
         assert sum(kept) == 1
 
     def test_scene_boundary_magnitude_spikes_for_low_motion(self):
-        from streammem.frame_gate import estimate_motion
-
         for motion in (0.0, 0.1, 0.2):
             boundary_mags, within_mags = [], []
             for seed in range(20):
                 frames = list(synth_scenes(spec_2scenes(motion=motion, seed=seed)))
                 mags = [
-                    estimate_motion(p, c).magnitude
+                    MotionReference.of(p).motion_to(c).magnitude
                     for p, c in zip(frames, frames[1:])
                 ]
                 boundary = (
@@ -488,6 +486,16 @@ class TestCli:
         assert main(["run", str(trace_path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("url", ["localhost:8099", "ftp://h/"])
+    def test_bad_remote_url_exits_2(self, tmp_path, capsys, url):
+        trace_path = tmp_path / "trace.jsonl"
+        main(["gen-trace", str(trace_path), "--scenes", "2", "--scene-duration", "6"])
+        assert main(["run", str(trace_path), "--backend", "remote", "--remote-url", url,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "remote url" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_sweep_value_exits_2(self, tmp_path, capsys):

@@ -245,15 +245,15 @@ class TestTree:
 
     def test_single_unit_tree(self):
         tree = self.build_tree(1)
-        assert tree.level_sizes() == [1]
+        assert [len(level) for level in tree.view()] == [1]
 
     def test_four_units_g2_gives_two_levels(self):
         tree = self.build_tree(4, small_cfg(group_size_g=2))
-        assert tree.level_sizes() == [4, 2]
+        assert [len(level) for level in tree.view()] == [4, 2]
 
     def test_ten_units_g3(self):
         tree = self.build_tree(10, small_cfg(group_size_g=3))
-        assert tree.level_sizes() == [10, 4, 2]
+        assert [len(level) for level in tree.view()] == [10, 4, 2]
 
     def test_shape_law_sweep(self):
         for g in (2, 3, 10, 15):
@@ -264,7 +264,7 @@ class TestTree:
             for i in range(40):
                 chunk = chunk_at(2.0 * i)
                 tree.append(make_unit(chunk, cfg, i, captioner, encoder), captioner, encoder)
-                assert tree.level_sizes() == iterated_ceil_sizes(i + 1, g)
+                assert [len(level) for level in tree.view()] == iterated_ceil_sizes(i + 1, g)
 
     def test_parent_spans_cover_children(self):
         tree = self.build_tree(7, small_cfg(group_size_g=2))

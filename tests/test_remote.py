@@ -1,12 +1,21 @@
+import contextlib
+import gc
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from streammem.errors import BackendError, ProtocolError
+from streammem import ports as ports_module
+from streammem.errors import BackendError, InputError, ProtocolError
 from streammem.ports import (
     RemoteBackendConfig,
     RemoteClient,
@@ -72,6 +81,24 @@ class QuietServer(ThreadingHTTPServer):
         pass
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(ports_module, "BACKOFF_BASE", 0.01)
+
+
+@contextlib.contextmanager
+def serving(handler):
+    httpd = QuietServer(("127.0.0.1", 0), handler)
+    # a short poll, so that shutdown() returns in 0.05 s instead of 0.5 s
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
 @pytest.fixture
 def server():
     MockHandler.fail_next = 0
@@ -79,18 +106,53 @@ def server():
     MockHandler.bad_json = False
     MockHandler.reply_body = None
     MockHandler.seen_auth = []
-    httpd = QuietServer(("127.0.0.1", 0), MockHandler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{httpd.server_address[1]}"
-    httpd.shutdown()
-    httpd.server_close()
+    with serving(MockHandler) as url:
+        yield url
 
 
-def client_for(url, **kw):
-    defaults = dict(base_url=url, timeout=2.0, retry_count=3, backoff_base=0.01)
-    defaults.update(kw)
-    return RemoteClient(RemoteBackendConfig(**defaults))
+@pytest.fixture
+def keep_alive():
+    """An HTTP/1.1 server that keeps each connection open, as a model server
+    does (MockHandler speaks HTTP/1.0 and closes after every reply); yields
+    its URL and its handler class, whose `paths` lists each POST it saw."""
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True  # the head and the body go out in two sends
+        delay = 0.0
+        close_after_reply = False
+        paths: list = []
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.paths.append(self.path)
+            if self.delay:
+                time.sleep(self.delay)
+            body = b'{"ok": true}'
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            # close as a server drops an idle connection: no `Connection: close`
+            self.close_connection = self.close_after_reply
+
+        def log_message(self, *args):
+            pass
+
+    with serving(Handler) as url:
+        yield url, Handler
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Each backoff the client sleeps, recorded instead of slept."""
+    slept: list = []
+    monkeypatch.setattr(ports_module, "time", SimpleNamespace(sleep=slept.append))
+    return slept
+
+
+def client_for(url, timeout=2.0):
+    return RemoteClient(RemoteBackendConfig(base_url=url, timeout=timeout))
 
 
 def test_embed_loopback(server):
@@ -115,9 +177,11 @@ def test_exhausted_retries_raise_backend_error(server):
 
 def test_timeout_is_backend_error(server):
     MockHandler.delay = 0.5
-    client = client_for(server, timeout=0.05, retry_count=2)
-    with pytest.raises(BackendError):
+    client = client_for(server, timeout=0.05)
+    with pytest.raises(BackendError) as err:
         client.call("embed", {"texts": ["x"]})
+    assert err.value.attempts == 3
+    assert len(MockHandler.seen_auth) == 3
 
 
 def test_malformed_response_is_protocol_error(server):
@@ -168,7 +232,7 @@ def test_no_auth_header_without_api_key(server, monkeypatch):
 
 
 def test_remote_portset_same_shapes_as_stub(server):
-    ports = remote_ports(RemoteBackendConfig(base_url=server, backoff_base=0.01))
+    ports = remote_ports(RemoteBackendConfig(base_url=server))
     vec = ports.text_encoder("hi")
     assert vec.ndim == 1
     assert ports.judge("q", "r", "p") == ("yes", 4)
@@ -193,14 +257,107 @@ def test_malformed_embed_reply_is_protocol_error(server, body):
 
 def test_non_string_caption_is_protocol_error(server):
     MockHandler.reply_body = '{"caption": 5}'
-    ports = remote_ports(RemoteBackendConfig(base_url=server, backoff_base=0.01))
+    ports = remote_ports(RemoteBackendConfig(base_url=server))
     with pytest.raises(ProtocolError):
         ports.captioner.summarize(["scene: a"])
 
 
 def test_non_string_generated_text_is_protocol_error(server):
     MockHandler.reply_body = '{"text": 7}'
-    ports = remote_ports(RemoteBackendConfig(base_url=server, backoff_base=0.01))
+    ports = remote_ports(RemoteBackendConfig(base_url=server))
     with pytest.raises(ProtocolError):
         ports.generator(PromptBundle(short_term=(), tree_tokens=(), dialogue_context=None,
                                      question="q"))
+
+
+def test_backoff_doubles_between_attempts(server, sleeps):
+    MockHandler.fail_next = 10
+    with pytest.raises(BackendError):
+        client_for(server).call("embed", {"texts": ["x"]})
+    assert sleeps == [0.01, 0.02]
+
+
+def test_payload_that_is_not_json_is_not_sent(server, sleeps):
+    with pytest.raises(BackendError, match="generate payload is not valid JSON") as err:
+        client_for(server).call("generate", {"bundle": {"similarity": float("nan")}})
+    assert err.value.endpoint == "generate"
+    assert MockHandler.seen_auth == []  # no request reached the server
+    assert sleeps == []
+
+
+def test_two_threads_share_one_client(keep_alive):
+    # Engine calls the ports from the query thread and the stream worker at once
+    url, handler = keep_alive
+    handler.delay = 0.001
+    client = client_for(url)
+    errors: list = []
+
+    def fifty_calls():
+        for _ in range(50):
+            try:
+                client.call("embed", {"texts": ["x"]})
+            except BackendError as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=fifty_calls) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(handler.paths) == 100
+
+
+def test_connection_closed_while_idle_costs_no_attempt(keep_alive, sleeps):
+    url, handler = keep_alive
+    handler.close_after_reply = True
+    client = client_for(url)
+    for _ in range(5):
+        assert client.call("embed", {"texts": ["x"]}) == {"ok": True}
+        threading.Event().wait(0.05)  # the server's close arrives meanwhile
+    assert len(handler.paths) == 5
+    assert sleeps == []
+
+
+def test_dropped_client_closes_its_connections(keep_alive):
+    url, _ = keep_alive
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        client = client_for(url)
+        client.call("embed", {"texts": ["x"]})
+        del client
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_base_url_path_prefixes_the_endpoint(keep_alive):
+    url, handler = keep_alive
+    client_for(url + "/v1/").call("caption", {"captions": [], "tags": []})
+    assert handler.paths == ["/v1/caption"]
+
+
+def test_https_url_speaks_tls(server):
+    # the plain-HTTP mock cannot complete a TLS handshake, so no request reaches it
+    with pytest.raises(BackendError) as err:
+        client_for(server.replace("http://", "https://")).call("embed", {"texts": ["x"]})
+    assert err.value.attempts == 3
+    assert MockHandler.seen_auth == []
+
+
+@pytest.mark.parametrize(
+    "url", ["localhost:8099", "ftp://h/", "http://", "//h:80", "http://h:99999", "http://h:x"]
+)
+def test_base_url_must_be_http_with_a_host(url):
+    with pytest.raises(InputError, match="remote url"):
+        RemoteBackendConfig(base_url=url)
+
+
+def test_import_loads_no_third_party_http_client():
+    src = str(Path(ports_module.__file__).resolve().parents[1])
+    code = "import sys, streammem; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

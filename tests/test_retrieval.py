@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import argmax_descent
+from oracles import argmax_descent, tree_view_to_json
 from streammem.errors import InputError
 from streammem.memory_core import (
     DialogueEntry,
     MemorySnapshot,
     MemoryConfig,
     TreeNode,
-    tree_view_to_json,
 )
 from streammem.retrieval import (
     PromptBundle,
