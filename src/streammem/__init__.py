@@ -13,13 +13,11 @@ from .frame_gate import (
 from .memory_core import (
     PRESETS,
     DialogueEntry,
-    DialogueMemory,
     KMeansResult,
     MemoryConfig,
     MemorySnapshot,
     MemoryStore,
     MemoryTree,
-    ShortTermMemory,
     TreeNode,
     forgetting_weights,
     kmeans,

@@ -27,7 +27,7 @@ class Frame:
 
     @staticmethod
     def from_pgm(path: str | Path, timestamp: float, tags: tuple[str, ...] = ()) -> "Frame":
-        """Load an 8-bit PGM (P2 or P5) as intensities value/255."""
+        """Load an 8-bit PGM (P2 or P5) as intensities value/maxval."""
         try:
             pixels = _parse_pgm(Path(path).read_bytes())
         except OSError as exc:  # missing, unreadable, or a directory
@@ -63,7 +63,9 @@ def _parse_pgm(data: bytes) -> np.ndarray:
         grid = values.reshape(height, width)
     else:
         raise ValueError(f"not a PGM magic: {magic!r}")
-    return grid / 255.0
+    if not ((grid >= 0) & (grid <= maxval)).all():
+        raise ValueError(f"a sample lies outside 0..{maxval}")
+    return grid / maxval
 
 
 @dataclass(frozen=True)

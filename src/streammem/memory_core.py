@@ -12,31 +12,12 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, call_port, check_numbers
 from .frame_gate import Chunk, VisionEmbedding
-
-__all__ = [
-    "MemoryConfig",
-    "PRESETS",
-    "ShortTermMemory",
-    "TreeNode",
-    "MemoryTree",
-    "DialogueEntry",
-    "DialogueMemory",
-    "MemorySnapshot",
-    "MemoryStore",
-    "forgetting_weights",
-    "refresh_short_term",
-    "kmeans",
-    "KMeansResult",
-    "make_unit",
-    "derive_seed",
-    "Chunk",
-]
 
 
 @dataclass(frozen=True)
@@ -97,28 +78,23 @@ def forgetting_weights(n: int, scale_s: float) -> np.ndarray:
     return raw / raw.sum()
 
 
-@dataclass(frozen=True)
-class ShortTermMemory:
-    units: tuple[VisionEmbedding, ...]
-
-
 def refresh_short_term(
     recent: list[VisionEmbedding],
     cfg: MemoryConfig,
     rng: np.random.Generator,
-) -> ShortTermMemory:
+) -> tuple[VisionEmbedding, ...]:
     """Sample min(S, |recent|) embeddings without replacement, pick probability
     proportional to the forgetting weight of each age.  `recent` is newest-last.
     """
     if not recent:
-        return ShortTermMemory(units=())
+        return ()
     pool = list(recent[-cfg.candidate_len_N :])
     weights = forgetting_weights(len(pool), cfg.forgetting_scale_s)
     # ages run newest=0; pool is newest-last, so reverse the weight vector.
     probs = weights[::-1]
     size = min(cfg.short_len_S, len(pool))
     chosen = np.sort(rng.choice(len(pool), size, replace=False, p=probs))  # chronological
-    return ShortTermMemory(units=tuple(pool[i] for i in chosen))
+    return tuple(pool[i] for i in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -413,26 +389,6 @@ class DialogueEntry:
     timestamp: float
 
 
-@dataclass
-class DialogueMemory:
-    entries: list[DialogueEntry] = field(default_factory=list)
-
-    def append(self, question: str, answer: str, text_encoder, timestamp: float) -> DialogueEntry:
-        if not question:
-            raise InputError("dialogue question must be nonempty")
-        vec = np.asarray(call_port("dialogue encoding", text_encoder, f"Q: {question} A: {answer}"),
-                         dtype=np.float64)
-        entry = DialogueEntry(
-            question=question,
-            answer=answer,
-            vec=vec,
-            turn_index=len(self.entries),
-            timestamp=timestamp,
-        )
-        self.entries.append(entry)
-        return entry
-
-
 # ---------------------------------------------------------------------------
 # snapshots and the store
 
@@ -464,8 +420,8 @@ class MemoryStore:
         self.captioner = captioner
         self.text_encoder = text_encoder
         self.tree = MemoryTree(cfg)
-        self.short = ShortTermMemory(units=())
-        self.dialogue = DialogueMemory()
+        self.short: tuple[VisionEmbedding, ...] = ()
+        self.dialogue: list[DialogueEntry] = []
         self.recent: deque[VisionEmbedding] = deque(maxlen=cfg.candidate_len_N)
         self.version = 0
 
@@ -479,13 +435,17 @@ class MemoryStore:
         self.version += 1
 
     def on_answer(self, question: str, answer: str, timestamp: float) -> None:
-        self.dialogue.append(question, answer, self.text_encoder, timestamp)
+        if not question:
+            raise InputError("dialogue question must be nonempty")
+        vec = call_port("dialogue encoding", self.text_encoder, f"Q: {question} A: {answer}")
+        self.dialogue.append(DialogueEntry(question, answer, np.asarray(vec, dtype=np.float64),
+                                           turn_index=len(self.dialogue), timestamp=timestamp))
         self.version += 1
 
     def snapshot(self) -> MemorySnapshot:
         return MemorySnapshot(
             version=self.version,
-            short_term=self.short.units,
+            short_term=self.short,
             tree=self.tree.view(),
-            dialogue=tuple(self.dialogue.entries),
+            dialogue=tuple(self.dialogue),
         )

@@ -70,29 +70,14 @@ class RunReport:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _report(frames_in, frames_kept, duration, answers, mem_cfg, gate_cfg, mode) -> RunReport:
-    config = dataclasses.asdict(mem_cfg)
-    config.update({f"gate_{k}": v for k, v in dataclasses.asdict(gate_cfg).items()})
-    return RunReport(
-        frames_in=frames_in,
-        frames_kept=frames_kept,
-        duration=duration,
-        fps_in=frames_in / duration if duration > 0 else 0.0,
-        fps_kept=frames_kept / duration if duration > 0 else 0.0,
-        answers=answers,
-        config=config,
-        clock_mode=mode,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the stage core
 
 
 class Stages:
     """The stage logic both drivers share: intake gates, encodes and buffers
-    frames, formation writes chunks and answered turns into the store, and
-    answering reads a snapshot."""
+    frames, formation writes chunks and answered turns into the store,
+    answering reads a snapshot, and report sums up the run."""
 
     def __init__(self, mem_cfg: MemoryConfig, gate_cfg: GateConfig, ports: PortSet):
         self.mem_cfg = mem_cfg
@@ -140,6 +125,20 @@ class Stages:
         record = AnswerRecord(question, answer, t_input, t_start, now(),
                               t_start - t_input, digest, error)
         return record, path
+
+    def report(self, duration: float, answers: list[AnswerRecord], mode: str) -> RunReport:
+        config = dataclasses.asdict(self.mem_cfg)
+        config.update({f"gate_{k}": v for k, v in dataclasses.asdict(self.gate.cfg).items()})
+        return RunReport(
+            frames_in=self.frames_in,
+            frames_kept=self.frames_kept,
+            duration=duration,
+            fps_in=self.frames_in / duration if duration > 0 else 0.0,
+            fps_kept=self.frames_kept / duration if duration > 0 else 0.0,
+            answers=answers,
+            config=config,
+            clock_mode=mode,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +194,7 @@ def run_sim(
                 stages.form(record)
 
     duration = float(last_t - first_t) if stages.frames_in else 0.0
-    return _report(stages.frames_in, stages.frames_kept, duration, answers,
-                   mem_cfg, gate_cfg, "sim")
+    return stages.report(duration, answers, "sim")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +216,6 @@ class Engine:
     """
 
     def __init__(self, mem_cfg: MemoryConfig, gate_cfg: GateConfig, ports: PortSet):
-        self.mem_cfg = mem_cfg
-        self.gate_cfg = gate_cfg
         self._origin = time.monotonic()
         self._stages = Stages(mem_cfg, gate_cfg, ports)
         self._snapshot = self._stages.store.snapshot()
@@ -333,8 +329,7 @@ class Engine:
             raise self._error
 
     def report(self, answers: list[AnswerRecord]) -> RunReport:
-        return _report(self.frames_in, self.frames_kept, self._now(), answers,
-                       self.mem_cfg, self.gate_cfg, "wall")
+        return self._stages.report(self._now(), answers, "wall")
 
 
 def run_wall(

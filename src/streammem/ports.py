@@ -43,33 +43,24 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def hash_text_encode(text: str, dim: int = TEXT_DIM) -> np.ndarray:
+def hash_text_encode(text: str) -> np.ndarray:
     """Signed feature hashing of whitespace/punctuation-split tokens into
-    `dim` buckets, normalized to unit length.  Empty text -> zero vector."""
-    if dim < 8:
-        raise InputError("embedding dim must be >= 8")
-    vec = np.zeros(dim, dtype=np.float64)
+    TEXT_DIM buckets, normalized to unit length.  Empty text -> zero vector.
+    This is the stub text encoder."""
+    vec = np.zeros(TEXT_DIM, dtype=np.float64)
     for token in _tokenize(text):
         digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
         value = int.from_bytes(digest, "big")
         # two independent (bucket, sign) pairs per token: a pair of tokens
-        # only aliases if both bucket/sign pairs coincide (~1/dim^2), so a
+        # only aliases if both bucket/sign pairs coincide (~1/TEXT_DIM^2), so a
         # single hash collision cannot make unrelated texts look identical
         low, high = value & 0xFFFFFFFF, value >> 32
-        vec[low % dim] += 1.0 if (low >> 31) & 1 else -1.0
-        vec[high % dim] += 1.0 if (high >> 31) & 1 else -1.0
+        vec[low % TEXT_DIM] += 1.0 if (low >> 31) & 1 else -1.0
+        vec[high % TEXT_DIM] += 1.0 if (high >> 31) & 1 else -1.0
     norm = np.linalg.norm(vec)
     if norm > 0:
         vec /= norm
     return vec
-
-
-class StubTextEncoder:
-    def __init__(self, dim: int = TEXT_DIM):
-        self.dim = dim
-
-    def __call__(self, text: str) -> np.ndarray:
-        return hash_text_encode(text, self.dim)
 
 
 class StubFrameEncoder:
@@ -78,10 +69,8 @@ class StubFrameEncoder:
     frames encode identically."""
 
     HIST_LEVELS = 8  # quantization levels of each histogram cell's mean
-
-    def __init__(self, n: int = 4, d: int = 32):
-        self.n = n
-        self.d = d
+    ROWS = 4  # token rows per frame
+    DIM = 32  # width of each token row
 
     def _histogram_key(self, pixels: np.ndarray) -> bytes:
         """The means of a 4x4 grid of cells, cell (i, j) spanning rows
@@ -105,10 +94,10 @@ class StubFrameEncoder:
     def __call__(self, frame: Frame) -> VisionEmbedding:
         key_base = repr(frame.tags).encode() + self._histogram_key(frame.pixels)
         rows = []
-        for j in range(self.n):
+        for j in range(self.ROWS):
             digest = hashlib.blake2b(key_base + bytes([j]), digest_size=8).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "big"))
-            row = rng.standard_normal(self.d)
+            row = rng.standard_normal(self.DIM)
             rows.append(row / np.linalg.norm(row))
         return VisionEmbedding(
             tokens=np.array(rows),
@@ -143,7 +132,7 @@ class EchoGenerator:
 
     def __call__(self, bundle) -> str:
         parts = []
-        if bundle.path is not None and bundle.path.best_caption:
+        if bundle.path.best_caption:
             parts.append(bundle.path.best_caption)
         if bundle.dialogue_context is not None:
             q, a = bundle.dialogue_context
@@ -184,7 +173,7 @@ class PortSet:
 def stub_ports() -> PortSet:
     return PortSet(
         frame_encoder=StubFrameEncoder(),
-        text_encoder=StubTextEncoder(),
+        text_encoder=hash_text_encode,
         captioner=TagCaptioner(),
         generator=EchoGenerator(),
         judge=exact_match_judge,
@@ -199,6 +188,8 @@ def stub_ports() -> PortSet:
 # which doubles before each further one: 0.5 s, then 1 s
 ATTEMPTS = 3
 BACKOFF_BASE = 0.5
+# besides every 5xx, the replies that can succeed on retry: timeout, too many requests
+RETRIED_STATUSES = (408, 429)
 
 
 @dataclass(frozen=True)
@@ -221,8 +212,9 @@ class RemoteBackendConfig:
 
 
 class RemoteClient:
-    """POSTs JSON payloads to base_url/{endpoint}, retrying with exponential
-    backoff, and sends `Authorization: Bearer $STREAMMEM_API_KEY` when that is
+    """POSTs JSON payloads to base_url/{endpoint}, retrying connection
+    errors, timeouts and 5xx, 408 and 429 replies with exponential backoff,
+    and sends `Authorization: Bearer $STREAMMEM_API_KEY` when that is
     set.  Each calling thread keeps its own connection alive, opened at its
     first call: one HTTPConnection shared by two threads mixes their calls."""
 
@@ -277,8 +269,10 @@ class RemoteClient:
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
             if not 200 <= resp.status < 300:
-                last_error = f"HTTP {resp.status}"
-                continue
+                last_error = f"HTTP {resp.status}: {data.decode(errors='replace')[:200]}"
+                if resp.status >= 500 or resp.status in RETRIED_STATUSES:
+                    continue
+                break  # any other reply, a 4xx or a 3xx, would be the same on retry
             try:
                 reply = json.loads(data)
             except ValueError as exc:
@@ -288,9 +282,9 @@ class RemoteClient:
                 raise ProtocolError(f"{endpoint} response is not a JSON object", endpoint=endpoint)
             return reply
         raise BackendError(
-            f"{endpoint} failed after {ATTEMPTS} attempts: {last_error}",
+            f"{endpoint} failed after {attempt + 1} attempt(s): {last_error}",
             endpoint=endpoint,
-            attempts=ATTEMPTS,
+            attempts=attempt + 1,
         )
 
 
@@ -323,13 +317,14 @@ class RemoteTextEncoder:
         reply = self.client.call("embed", {"texts": [text]})
         vectors = _require(reply, "vectors", "embed", list)
         if not (
-            vectors
-            and all(isinstance(v, list) and v and len(v) == len(vectors[0]) for v in vectors)
-            and all(_is_number(x) for v in vectors for x in v)
+            len(vectors) == 1
+            and isinstance(vectors[0], list)
+            and vectors[0]
+            and all(_is_number(x) for x in vectors[0])
         ):
             raise ProtocolError(
-                "vectors in embed response must be a non-empty list of equal-length, "
-                "non-empty lists of finite numbers",
+                "vectors in embed response must hold one non-empty list of finite "
+                "numbers per text sent",
                 endpoint="embed",
             )
         return np.asarray(vectors[0], dtype=np.float64)

@@ -57,10 +57,6 @@ class PathResult:
     collected_centroids: tuple[np.ndarray, ...]
     best_caption: str
 
-    @property
-    def empty(self) -> bool:
-        return not self.steps
-
 
 EMPTY_PATH = PathResult(steps=(), collected_centroids=(), best_caption="")
 

@@ -165,7 +165,7 @@ def test_criterion_07_forgetting_sampler_frequencies():
     draws = 100_000
     for _ in range(draws):
         picked = refresh_short_term(recent, cfg, rng)
-        counts[picked.units[0].source_timestamp] += 1
+        counts[picked[0].source_timestamp] += 1
     raw = np.exp(-np.arange(3) / 1.0)  # age 0 = newest = timestamp 2.0
     expected = raw / raw.sum()
     for age, ts in enumerate([2.0, 1.0, 0.0]):

@@ -200,6 +200,19 @@ class TestPgm:
         assert frame.pixels.shape == (3, 4)
         assert np.allclose(frame.pixels, raw / 255.0)
 
+    @pytest.mark.parametrize("data", [b"P5\n2 1\n15\n\x0f\x05", b"P2\n2 1\n15\n15 5\n"])
+    def test_samples_scale_by_maxval(self, tmp_path, data):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        assert np.array_equal(Frame.from_pgm(path, timestamp=0.0).pixels, [[1.0, 5 / 15]])
+
+    @pytest.mark.parametrize("data", [b"P5\n2 1\n15\n\x10\x05", b"P2\n2 1\n255\n300 5\n"])
+    def test_sample_above_maxval_is_input_error(self, tmp_path, data):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="outside"):
+            Frame.from_pgm(path, timestamp=0.0)
+
     def test_bad_pgm_is_input_error(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P7 nonsense")

@@ -16,7 +16,6 @@ from streammem import memory_core
 from streammem.errors import InputError
 from streammem.frame_gate import make_chunk
 from streammem.memory_core import (
-    DialogueMemory,
     MemoryConfig,
     MemoryStore,
     MemoryTree,
@@ -28,7 +27,7 @@ from streammem.memory_core import (
     make_unit,
     refresh_short_term,
 )
-from streammem.ports import StubTextEncoder, TagCaptioner
+from streammem.ports import TagCaptioner, hash_text_encode
 
 
 def small_cfg(**kw):
@@ -70,19 +69,19 @@ class TestShortTerm:
         recent = [make_embedding(float(i)) for i in range(3)]
         cfg = MemoryConfig(short_len_S=5, candidate_len_N=20)
         st_mem = refresh_short_term(recent, cfg, np.random.default_rng(0))
-        assert len(st_mem.units) == 3
+        assert len(st_mem) == 3
 
     def test_result_size_matches_s(self):
         recent = [make_embedding(float(i)) for i in range(20)]
         cfg = MemoryConfig(short_len_S=5, candidate_len_N=20)
         st_mem = refresh_short_term(recent, cfg, np.random.default_rng(0))
-        assert len(st_mem.units) == 5
+        assert len(st_mem) == 5
 
     def test_chronological_and_within_candidate_window(self):
         recent = [make_embedding(float(i)) for i in range(40)]
         cfg = MemoryConfig(short_len_S=5, candidate_len_N=20)
         st_mem = refresh_short_term(recent, cfg, np.random.default_rng(1))
-        times = [u.source_timestamp for u in st_mem.units]
+        times = [u.source_timestamp for u in st_mem]
         assert times == sorted(times)
         assert min(times) >= 20.0  # never older than the N-th most recent
 
@@ -91,7 +90,7 @@ class TestShortTerm:
         cfg = MemoryConfig(short_len_S=3, candidate_len_N=20)
         a = refresh_short_term(recent, cfg, np.random.default_rng(7))
         b = refresh_short_term(recent, cfg, np.random.default_rng(7))
-        assert [u.source_timestamp for u in a.units] == [u.source_timestamp for u in b.units]
+        assert [u.source_timestamp for u in a] == [u.source_timestamp for u in b]
 
     def test_pick_frequency_tracks_forgetting_curve(self):
         recent = [make_embedding(float(i)) for i in range(3)]
@@ -101,7 +100,7 @@ class TestShortTerm:
         trials = 30_000
         for _ in range(trials):
             st_mem = refresh_short_term(recent, cfg, rng)
-            counts[int(st_mem.units[0].source_timestamp)] += 1
+            counts[int(st_mem[0].source_timestamp)] += 1
         freqs = counts / trials
         # ages: newest (t=2) has weight 0.665
         assert np.allclose(freqs[::-1], [0.66524, 0.24473, 0.09003], atol=0.02)
@@ -116,7 +115,7 @@ class TestShortTerm:
         trials = 30_000
         counts = {}
         for _ in range(trials):
-            pair = tuple(int(u.source_timestamp) for u in refresh_short_term(recent, cfg, rng).units)
+            pair = tuple(int(u.source_timestamp) for u in refresh_short_term(recent, cfg, rng))
             counts[pair] = counts.get(pair, 0) + 1
         for i, j in ((0, 1), (0, 2), (1, 2)):
             expected = p[i] * p[j] / (1 - p[i]) + p[j] * p[i] / (1 - p[j])
@@ -237,7 +236,7 @@ class TestTree:
         cfg = cfg or small_cfg()
         tree = MemoryTree(cfg)
         captioner = TagCaptioner()
-        encoder = StubTextEncoder(dim=32)
+        encoder = hash_text_encode
         for i in range(n_units):
             chunk = chunk_at(2.0 * i, tags=(f"tag{i}",))
             tree.append(make_unit(chunk, cfg, i, captioner, encoder), captioner, encoder)
@@ -260,7 +259,7 @@ class TestTree:
             cfg = small_cfg(group_size_g=g)
             tree = MemoryTree(cfg)
             captioner = TagCaptioner()
-            encoder = StubTextEncoder(dim=32)
+            encoder = hash_text_encode
             for i in range(40):
                 chunk = chunk_at(2.0 * i)
                 tree.append(make_unit(chunk, cfg, i, captioner, encoder), captioner, encoder)
@@ -299,43 +298,45 @@ class TestTree:
     def test_chronology_enforced(self):
         cfg = small_cfg()
         tree = MemoryTree(cfg)
-        captioner, encoder = TagCaptioner(), StubTextEncoder(dim=32)
+        captioner, encoder = TagCaptioner(), hash_text_encode
         tree.append(make_unit(chunk_at(10.0), cfg, 0, captioner, encoder), captioner, encoder)
         with pytest.raises(InputError):
             tree.append(make_unit(chunk_at(0.0), cfg, 1, captioner, encoder), captioner, encoder)
 
 
 class TestDialogue:
+    def make_store(self):
+        return MemoryStore(small_cfg(), TagCaptioner(), hash_text_encode)
+
     def test_first_turn(self):
-        mem = DialogueMemory()
-        entry = mem.append("what is it", "a cup", StubTextEncoder(dim=32), timestamp=1.0)
+        store = self.make_store()
+        store.on_answer("what is it", "a cup", timestamp=1.0)
+        (entry,) = store.snapshot().dialogue
         assert entry.turn_index == 0
-        assert len(mem.entries) == 1
 
     def test_append_only_in_order(self):
-        mem = DialogueMemory()
-        enc = StubTextEncoder(dim=32)
+        store = self.make_store()
         for i in range(5):
-            mem.append(f"q{i}", f"a{i}", enc, timestamp=float(i))
-        assert [e.turn_index for e in mem.entries] == list(range(5))
-        assert [e.question for e in mem.entries] == [f"q{i}" for i in range(5)]
+            store.on_answer(f"q{i}", f"a{i}", timestamp=float(i))
+        turns = store.snapshot().dialogue
+        assert [e.turn_index for e in turns] == list(range(5))
+        assert [e.question for e in turns] == [f"q{i}" for i in range(5)]
 
     def test_encoding_deterministic(self):
-        enc = StubTextEncoder(dim=32)
-        m1, m2 = DialogueMemory(), DialogueMemory()
-        e1 = m1.append("q", "a", enc, 0.0)
-        e2 = m2.append("q", "a", enc, 0.0)
-        assert np.array_equal(e1.vec, e2.vec)
+        s1, s2 = self.make_store(), self.make_store()
+        s1.on_answer("q", "a", 0.0)
+        s2.on_answer("q", "a", 0.0)
+        assert np.array_equal(s1.snapshot().dialogue[0].vec, s2.snapshot().dialogue[0].vec)
 
     def test_empty_question_rejected(self):
         with pytest.raises(InputError):
-            DialogueMemory().append("", "a", StubTextEncoder(dim=32), 0.0)
+            self.make_store().on_answer("", "a", 0.0)
 
 
 class TestStoreAndSnapshots:
     def make_store(self, cfg=None):
         cfg = cfg or small_cfg()
-        return MemoryStore(cfg, TagCaptioner(), StubTextEncoder(dim=32))
+        return MemoryStore(cfg, TagCaptioner(), hash_text_encode)
 
     def test_snapshot_isolated_from_later_appends(self):
         store = self.make_store()

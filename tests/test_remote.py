@@ -247,6 +247,7 @@ def test_remote_portset_same_shapes_as_stub(server):
         '{"vectors": [["1.0"]]}',
         '{"vectors": [[NaN]]}',
         '{"vectors": [1.0, 2.0]}',
+        '{"vectors": [[1.0, 2.0], [3.0, 4.0]]}',  # two vectors for one text
     ],
 )
 def test_malformed_embed_reply_is_protocol_error(server, body):
@@ -275,6 +276,34 @@ def test_backoff_doubles_between_attempts(server, sleeps):
     with pytest.raises(BackendError):
         client_for(server).call("embed", {"texts": ["x"]})
     assert sleeps == [0.01, 0.02]
+
+
+@pytest.mark.parametrize("status, attempts", [(400, 1), (404, 1), (301, 1), (408, 3), (429, 3)])
+def test_only_replies_that_can_succeed_are_retried(sleeps, status, attempts):
+    body = json.dumps({"error": "'bundle'"}) + " " * 300
+
+    class Handler(BaseHTTPRequestHandler):
+        seen = 0
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            Handler.seen += 1
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body.encode())
+
+        def log_message(self, *args):
+            pass
+
+    with serving(Handler) as url:
+        with pytest.raises(BackendError) as err:
+            client_for(url).call("generate", {})
+    assert Handler.seen == err.value.attempts == attempts
+    assert len(sleeps) == attempts - 1
+    message = str(err.value)
+    assert f"HTTP {status}" in message and "'bundle'" in message
+    assert len(message) < 260  # the body enters cut to 200 characters
 
 
 def test_payload_that_is_not_json_is_not_sent(server, sleeps):

@@ -103,7 +103,7 @@ class TestCosine:
 class TestDescend:
     def test_empty_tree(self):
         path = descend_tree((), QueryVec(vec=np.ones(4), text="q"))
-        assert path.empty
+        assert not path.steps
         assert path.collected_centroids == ()
 
     def test_single_node(self):
