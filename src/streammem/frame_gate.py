@@ -53,14 +53,16 @@ def _parse_pgm(data: bytes) -> np.ndarray:
             pos += 1
         tokens.append(data[start:pos])
     magic, width, height, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if width < 1 or height < 1:
+        raise ValueError(f"dimensions {width} x {height} are not positive")
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"unsupported maxval {maxval}")
     if magic == b"P5":
         raw = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos + 1)
         grid = raw.reshape(height, width).astype(np.float64)
-    elif magic == b"P2":
-        values = np.array(data[pos:].split()[: width * height], dtype=np.float64)
-        grid = values.reshape(height, width)
+    elif magic == b"P2":  # int() of each sample: a sample like 1.5 is a ValueError
+        values = np.array(data[pos:].split()[: width * height]).astype(np.int64)
+        grid = values.reshape(height, width).astype(np.float64)
     else:
         raise ValueError(f"not a PGM magic: {magic!r}")
     if not ((grid >= 0) & (grid <= maxval)).all():

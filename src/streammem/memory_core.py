@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, call_port, check_numbers
+from .errors import BackendError, InputError, call_port, check_numbers
 from .frame_gate import Chunk, VisionEmbedding
 
 
@@ -384,9 +384,71 @@ def check_tree_invariants(view: TreeView, g: int) -> None:
 class DialogueEntry:
     question: str
     answer: str
-    vec: np.ndarray
+    vec: np.ndarray  # a read-only view of the turn's row in the dialogue index
     turn_index: int
     timestamp: float
+
+
+FIRST_BLOCK_ROWS = 64  # the index's blocks hold 64, 128, 256, ... rows
+
+# One block of the dialogue index: its rows, each row's norm, and the turn
+# index of its first row.
+DialogueBlock = tuple[np.ndarray, np.ndarray, int]
+
+
+class DialogueMemory:
+    """The dialogue turns in order, with their vectors in an append-only index.
+
+    A turn's vector is written into a row of the last block, and a full block
+    is followed by one twice its size; no block is ever copied or moved.  Its
+    norm, `np.linalg.norm(vec)`, is stored beside it, not divided into the
+    row, so every similarity reported is the one `cosine_similarity` gives.
+    A reader that knows a turn count reads only the rows below it, so it may
+    read while the writer fills later rows.
+    """
+
+    def __init__(self):
+        self.turns: list[DialogueEntry] = []
+        self.blocks: list[DialogueBlock] = []
+
+    def append(self, question: str, answer: str, vec, timestamp: float) -> None:
+        """Check the text encoder's vector for the turn and index it.  A
+        vector that is not 1-D, not finite, of another width than the first
+        turn's, or whose norm overflows is a BackendError."""
+        vec, norm = self._checked(vec)
+        n = len(self.turns)
+        if not self.blocks or n == self.blocks[-1][2] + len(self.blocks[-1][0]):
+            size = FIRST_BLOCK_ROWS << len(self.blocks)
+            self.blocks.append((np.empty((size, vec.shape[0])), np.empty(size), n))
+        rows, norms, first = self.blocks[-1]
+        rows[n - first] = vec
+        norms[n - first] = norm
+        row = rows[n - first]
+        row.flags.writeable = False
+        self.turns.append(DialogueEntry(question, answer, row, turn_index=n, timestamp=timestamp))
+
+    def _checked(self, vec) -> tuple[np.ndarray, float]:
+        try:
+            vec = np.asarray(vec, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise BackendError(f"dialogue encoding failed: {exc}") from exc
+        width = self.blocks[0][0].shape[1] if self.blocks else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(vec) if vec.ndim == 1 else None
+        if vec.ndim != 1:
+            problem = f"a {vec.ndim}-D vector of shape {vec.shape}"
+        elif width is not None and vec.shape[0] != width:
+            problem = f"width {vec.shape[0]}, where the first turn's is {width}"
+        elif not np.isfinite(vec).all():
+            problem = "non-finite values"
+        elif not np.isfinite(norm):
+            problem = "a norm that overflows"
+        else:
+            return vec, norm
+        raise BackendError(f"dialogue encoding failed: {problem}")
+
+    def view(self) -> tuple[tuple[DialogueEntry, ...], tuple[DialogueBlock, ...]]:
+        return tuple(self.turns), tuple(self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +463,7 @@ class MemorySnapshot:
     short_term: tuple[VisionEmbedding, ...]
     tree: TreeView
     dialogue: tuple[DialogueEntry, ...]
+    dialogue_blocks: tuple[DialogueBlock, ...]  # index rows below len(dialogue) are fixed
 
     def check(self, g: int) -> None:
         check_tree_invariants(self.tree, g)
@@ -421,7 +484,7 @@ class MemoryStore:
         self.text_encoder = text_encoder
         self.tree = MemoryTree(cfg)
         self.short: tuple[VisionEmbedding, ...] = ()
-        self.dialogue: list[DialogueEntry] = []
+        self.dialogue = DialogueMemory()
         self.recent: deque[VisionEmbedding] = deque(maxlen=cfg.candidate_len_N)
         self.version = 0
 
@@ -438,14 +501,15 @@ class MemoryStore:
         if not question:
             raise InputError("dialogue question must be nonempty")
         vec = call_port("dialogue encoding", self.text_encoder, f"Q: {question} A: {answer}")
-        self.dialogue.append(DialogueEntry(question, answer, np.asarray(vec, dtype=np.float64),
-                                           turn_index=len(self.dialogue), timestamp=timestamp))
+        self.dialogue.append(question, answer, vec, timestamp)
         self.version += 1
 
     def snapshot(self) -> MemorySnapshot:
+        dialogue, blocks = self.dialogue.view()
         return MemorySnapshot(
             version=self.version,
             short_term=self.short,
             tree=self.tree.view(),
-            dialogue=tuple(self.dialogue),
+            dialogue=dialogue,
+            dialogue_blocks=blocks,
         )

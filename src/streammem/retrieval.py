@@ -2,21 +2,23 @@
 
 Greedy per-level descent of the long-memory tree (argmax of cosine between
 the encoded question and node caption vectors, earlier span on ties),
-exact top-1 dialogue lookup, and context assembly.  Everything here is a
-pure function over immutable snapshots and safe to call from any stage.
+exact top-1 dialogue lookup over the dialogue index, and context assembly.
+Everything here is a pure function over immutable snapshots and safe to call
+from any stage.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .frame_gate import VisionEmbedding
-from .memory_core import DialogueEntry, MemorySnapshot, TreeView
+from .memory_core import DialogueBlock, DialogueEntry, MemorySnapshot, TreeView
 
 
 @dataclass(frozen=True)
@@ -97,17 +99,68 @@ def descend_tree(tree: TreeView, q: QueryVec) -> PathResult:
     )
 
 
+# Turns whose approximate cosine lies within BAND of the best are scored
+# again exactly.  Two float64 dot products of width d, summed in any order,
+# each lie within d * 2**-53 * |q| |v| of the true one (Higham, "Accuracy and
+# Stability of Numerical Algorithms", section 3.1), so the two cosines of a
+# turn differ by about 2 * d * 1.1e-16: under BAND / 2 for any d below 10**6.
+BAND = 1e-9
+# That bound needs |q| |v| clear of underflow, so a turn below
+# MIN_NORM_PRODUCT is always scored again; and no partial sum may overflow,
+# so a query whose norm reaches MAX_QUERY_NORM has every turn scored again
+# (a turn's norm is finite, so below 2**512).
+MIN_NORM_PRODUCT = 1e-300
+MAX_QUERY_NORM = 2.0**511
+
+
+def _approx_cosines(blocks: tuple[DialogueBlock, ...], n: int, qv: np.ndarray) -> np.ndarray:
+    """Cosine of `qv` with each of the first `n` indexed turns, from one
+    matrix product per block: 0 for a zero turn vector, as in
+    `cosine_similarity`, and NaN where the bound above does not hold."""
+    q_norm = math.sqrt(qv @ qv)
+    if not q_norm < MAX_QUERY_NORM:  # NaN too
+        q_norm = math.nan
+    dots, norms = [], []
+    for rows, row_norms, first in blocks:  # each block holds a row below n
+        m = min(len(rows), n - first)
+        dots.append(rows[:m] @ qv)
+        norms.append(row_norms[:m])
+    norms = np.concatenate(norms)
+    denom = norms * q_norm
+    denom[denom < MIN_NORM_PRODUCT] = np.nan  # a zero query's too
+    denom[norms == 0.0] = 1.0  # over a dot product that is 0
+    return np.concatenate(dots) / denom
+
+
 def retrieve_dialogue(
-    entries: tuple[DialogueEntry, ...], q: QueryVec, min_sim: float
+    entries: tuple[DialogueEntry, ...],
+    blocks: tuple[DialogueBlock, ...],
+    q: QueryVec,
+    min_sim: float,
 ) -> tuple[DialogueEntry, float] | None:
-    """Exact top-1 by cosine; ties go to the most recent turn; None when the
-    best similarity is below min_sim or memory is empty."""
+    """Exact top-1 by cosine over `entries`, whose vectors `blocks` index;
+    ties go to the most recent turn; None when the best similarity is below
+    min_sim or memory is empty.
+
+    Every turn is scored approximately by `_approx_cosines`.  Only the turns
+    within BAND of the best score, and those whose score is NaN, are scored
+    again by `cosine_similarity`, in turn order.  The exact best always lies
+    in that band, so the turn chosen and the similarity reported are those
+    of an exact scan of every turn."""
+    if not entries:
+        return None
+    width = blocks[0][0].shape[1:]
+    if q.vec.shape != width:
+        raise InputError(f"vector dimension mismatch: {q.vec.shape} vs {width}")
+    scores = _approx_cosines(blocks, len(entries), q.vec)
+    # fmax skips NaN, and NaN compares false: a NaN score is a candidate
+    candidates = ~(scores < np.fmax.reduce(scores) - BAND)
     best = None
     best_sim = -np.inf
-    for entry in entries:
-        sim = cosine_similarity(q.vec, entry.vec)
+    for i in candidates.nonzero()[0]:
+        sim = cosine_similarity(q.vec, entries[i].vec)
         if sim >= best_sim:
-            best, best_sim = entry, sim
+            best, best_sim = entries[i], sim
     if best is None or best_sim < min_sim:
         return None
     return (best, best_sim)
@@ -129,7 +182,7 @@ def assemble_context(snapshot: MemorySnapshot, q: QueryVec, cfg) -> PromptBundle
     """Pure function of (snapshot, query): short-term units, path centroids
     from the tree, and the best prior dialogue turn above the cutoff."""
     path = descend_tree(snapshot.tree, q)
-    hit = retrieve_dialogue(snapshot.dialogue, q, cfg.min_dialogue_sim)
+    hit = retrieve_dialogue(snapshot.dialogue, snapshot.dialogue_blocks, q, cfg.min_dialogue_sim)
     dialogue_context = None
     dialogue_sim = None
     if hit is not None:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: exhaustive SSD search
 for motion, exhaustive partition enumeration for clustering, a standalone
-per-level argmax walk over the serialized tree for retrieval, and Lloyd's
-algorithm run one restart and one cluster at a time.
+per-level argmax walk over the serialized tree for retrieval, a per-turn scan
+for the dialogue lookup, and Lloyd's algorithm run one restart and one
+cluster at a time.
 """
 
 from __future__ import annotations
@@ -154,6 +155,25 @@ def argmax_descent(tree_doc: dict, query_vec: np.ndarray) -> list[tuple[int, int
         if level > 0:
             candidates = list(range(nodes[pick]["child_start"], nodes[pick]["child_end"]))
     return path
+
+
+def scan_dialogue(vecs, query_vec: np.ndarray, min_sim: float) -> tuple[int, float] | None:
+    """The exact top-1 dialogue lookup as a loop over the turns: each cosine
+    computed alone, as `cosine_similarity` computes it, kept by `>=` in turn
+    order so ties go to the most recent turn, then the cutoff.  Returns
+    (turn index, similarity), or None."""
+    q = np.asarray(query_vec, dtype=np.float64)
+    nq = np.linalg.norm(q)
+    best, best_sim = None, -np.inf
+    for i, v in enumerate(vecs):
+        v = np.asarray(v, dtype=np.float64)
+        nv = np.linalg.norm(v)
+        sim = 0.0 if nq == 0.0 or nv == 0.0 else float(np.dot(q, v) / (nq * nv))
+        if sim >= best_sim:
+            best, best_sim = i, sim
+    if best is None or best_sim < min_sim:
+        return None
+    return best, best_sim
 
 
 def iterated_ceil_sizes(b: int, g: int) -> list[int]:

@@ -218,3 +218,18 @@ class TestPgm:
         path.write_bytes(b"P7 nonsense")
         with pytest.raises(InputError):
             Frame.from_pgm(path, timestamp=0.0)
+
+    @pytest.mark.parametrize("data", [b"P5\n-1 1\n255\n\x01\x02\x03",
+                                      b"P5\n3 -1\n255\n\x01\x02\x03",
+                                      b"P2\n0 1\n255\n"])
+    def test_dimension_below_one_is_input_error(self, tmp_path, data):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="cannot parse PGM .*not positive"):
+            Frame.from_pgm(path, timestamp=0.0)
+
+    def test_p2_sample_that_is_not_an_integer_is_input_error(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n0 1.5\n")
+        with pytest.raises(InputError, match="cannot parse PGM .*1.5"):
+            Frame.from_pgm(path, timestamp=0.0)

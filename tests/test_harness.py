@@ -30,7 +30,7 @@ from streammem.harness import (
 )
 from streammem.memory_core import PRESETS, MemoryConfig
 from streammem.pipeline import AnswerRecord
-from streammem.ports import stub_ports
+from streammem.ports import hash_text_encode, stub_ports
 
 
 def spec_2scenes(motion=0.5, **kw):
@@ -622,6 +622,34 @@ class TestCli:
         assert main(["run", str(trace_path), "--clock", clock,
                      "--out", str(tmp_path / "out")]) == 2
         assert "cannot read PGM" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("clock", ["sim", "wall"])
+    @pytest.mark.parametrize("later,problem", [
+        (np.ones(256), "width 256, where the first turn's is 512"),
+        (np.full(512, np.nan), "non-finite values"),
+    ], ids=["width", "nan"])
+    def test_bad_dialogue_vector_exits_3(self, tmp_path, capsys, monkeypatch, clock, later,
+                                         problem):
+        # the text encoder answers the first turn well and every later turn badly
+        turns = []
+
+        def text_encoder(text):
+            if not text.startswith("Q: "):
+                return hash_text_encode(text)
+            turns.append(text)
+            return hash_text_encode(text) if len(turns) == 1 else later
+
+        monkeypatch.setattr("streammem.cli.stub_ports", lambda: dataclasses.replace(
+            stub_ports(), text_encoder=text_encoder))
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(gen_trace(num_scenes=2, scene_duration=6.0, seed=24), trace_path)
+        assert main(["run", str(trace_path), "--clock", clock,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"dialogue encoding failed: {problem}" in err
+        assert "Traceback" not in err
+        assert len(turns) == 2
         assert not (tmp_path / "out").exists()
 
     def test_trace_not_utf8_exits_2(self, tmp_path, capsys):

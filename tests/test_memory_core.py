@@ -13,7 +13,7 @@ from oracles import (
     lloyd_update_loop,
 )
 from streammem import memory_core
-from streammem.errors import InputError
+from streammem.errors import BackendError, InputError
 from streammem.frame_gate import make_chunk
 from streammem.memory_core import (
     MemoryConfig,
@@ -28,6 +28,7 @@ from streammem.memory_core import (
     refresh_short_term,
 )
 from streammem.ports import TagCaptioner, hash_text_encode
+from streammem.retrieval import assemble_context, bundle_digest, encode_query
 
 
 def small_cfg(**kw):
@@ -331,6 +332,59 @@ class TestDialogue:
     def test_empty_question_rejected(self):
         with pytest.raises(InputError):
             self.make_store().on_answer("", "a", 0.0)
+
+    def test_blocks_double_and_entries_view_their_rows(self):
+        store = self.make_store()
+        for i in range(200):
+            store.on_answer(f"q{i}", f"a{i}", float(i))
+        snap = store.snapshot()
+        assert [(len(rows), len(norms), first) for rows, norms, first
+                in snap.dialogue_blocks] == [(64, 64, 0), (128, 128, 64), (256, 256, 192)]
+        for entry in snap.dialogue:
+            rows, norms, first = snap.dialogue_blocks[
+                0 if entry.turn_index < 64 else 1 if entry.turn_index < 192 else 2]
+            row = entry.turn_index - first
+            assert np.shares_memory(entry.vec, rows[row])  # one copy of each vector
+            assert not entry.vec.flags.writeable
+            assert np.array_equal(entry.vec, hash_text_encode(f"Q: {entry.question} A: "
+                                                              f"a{entry.turn_index}"))
+            assert norms[row] == np.linalg.norm(entry.vec)
+
+    @pytest.mark.parametrize("second,problem", [
+        (np.ones(256), "width 256, where the first turn's is 512"),
+        (np.full(512, np.nan), "non-finite values"),
+        (np.full(512, 1e200), "a norm that overflows"),
+        (np.ones((2, 256)), "a 2-D vector"),
+        ("not a vector", "could not convert"),
+    ], ids=["width", "nan", "overflow", "2-d", "text"])
+    def test_bad_turn_vector_is_backend_error(self, second, problem):
+        replies = iter([np.ones(512), second])
+        store = MemoryStore(small_cfg(), TagCaptioner(), lambda text: next(replies))
+        store.on_answer("q0", "a0", 0.0)
+        with pytest.raises(BackendError, match=f"^dialogue encoding failed: {problem}"):
+            store.on_answer("q1", "a1", 1.0)
+        snap = store.snapshot()
+        assert [e.question for e in snap.dialogue] == ["q0"]
+        snap.check(2)
+
+    def test_snapshot_answers_alike_after_later_turns(self):
+        # later turns, across a block edge, repeat the questions asked, so
+        # they would win every lookup that could see them
+        store = self.make_store()
+        for i in range(60):
+            store.on_answer(f"what about w{i}", f"a{i}", float(i))
+        snap = store.snapshot()
+        cfg = small_cfg()
+        questions = [f"what about w{i}" for i in (0, 30, 59, 99)] + ["unrelated words"]
+        queries = [encode_query(text, hash_text_encode) for text in questions]
+        before = [bundle_digest(assemble_context(snap, q, cfg)) for q in queries]
+        for i in range(60, 140):
+            store.on_answer(questions[i % len(questions)], f"b{i}", float(i))
+        assert len(snap.dialogue) == 60
+        assert [bundle_digest(assemble_context(snap, q, cfg)) for q in queries] == before
+        latest = store.snapshot()
+        assert (assemble_context(latest, queries[0], cfg).dialogue_context[1]
+                != assemble_context(snap, queries[0], cfg).dialogue_context[1])
 
 
 class TestStoreAndSnapshots:

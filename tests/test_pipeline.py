@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import scan_dialogue
 from streammem.cli import main
 from streammem.errors import BackendError, InputError
 from streammem.frame_gate import Frame, FrameGate, GateConfig, VisionBuffer
@@ -580,6 +581,58 @@ class TestWallScheduling:
         for rs in records:  # each client's turns keep its order
             mine = [turn for turn in turns if turn[0] in {r.question for r in rs}]
             assert mine == [(r.question, r.answer) for r in rs]
+
+    def test_queries_read_the_dialogue_index_while_the_worker_appends(self, monkeypatch):
+        # four clients ask 200 questions, so the worker's appends cross the
+        # index's block edges at 64 and 192 turns while lookups read it: each
+        # lookup must equal a per-turn scan of the snapshot it read, also
+        # when that snapshot is read again after every append
+        cfg = small_cfg()
+        engine = Engine(cfg, GateConfig(), stub_ports())
+        reads = []
+
+        def recorded(snapshot, q, mem_cfg):
+            bundle = assemble_context(snapshot, q, mem_cfg)
+            reads.append((snapshot, q, bundle))
+            return bundle
+
+        monkeypatch.setattr("streammem.pipeline.assemble_context", recorded)
+
+        def client(k):
+            for i in range(50):
+                engine.submit_query(f"client {k} asks about w{i % 7} in scene{i % 3}")
+
+        def session():
+            engine.start(iter(moving_scene_frames(n_scenes=1, duration=2.0)))
+            assert engine.wait_source_done(10.0)
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join()
+            engine.stop()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _, error = finish_within(session, 60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert error is None
+        assert len(engine.latest_snapshot().dialogue) == len(reads) == 200
+        hits = 0
+        for snapshot, q, bundle in reads:
+            expected = scan_dialogue([e.vec for e in snapshot.dialogue], q.vec,
+                                     cfg.min_dialogue_sim)
+            if expected is None:
+                assert bundle.dialogue_context is None
+            else:
+                hits += 1
+                turn = snapshot.dialogue[expected[0]]
+                assert bundle.dialogue_context == (turn.question, turn.answer)
+                assert bundle.dialogue_similarity == expected[1]
+            assert bundle_digest(assemble_context(snapshot, q, cfg)) == bundle_digest(bundle)
+        assert hits > 100
 
     def test_wall_and_sim_agree_on_kept_frames_and_units(self):
         frames = moving_scene_frames(n_scenes=3, duration=10.0)

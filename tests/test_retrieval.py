@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import argmax_descent, tree_view_to_json
+from oracles import argmax_descent, scan_dialogue, tree_view_to_json
+from streammem import retrieval
 from streammem.errors import InputError
 from streammem.memory_core import (
-    DialogueEntry,
+    DialogueMemory,
     MemorySnapshot,
     MemoryConfig,
     TreeNode,
 )
 from streammem.retrieval import (
+    BAND,
     PromptBundle,
     QueryVec,
     assemble_context,
@@ -176,21 +178,23 @@ def dataclass_replace(node, **kw):
     return dataclasses.replace(node, **kw)
 
 
-def entry(q, a, vec, turn, t=0.0):
-    return DialogueEntry(question=q, answer=a, vec=vec, turn_index=turn, timestamp=t)
+def dialogue(*vecs, questions=None):
+    """(entries, blocks) of a dialogue memory holding one turn per vector;
+    turn i asks `questions[i]`, or "q{i}"."""
+    memory = DialogueMemory()
+    for i, vec in enumerate(vecs):
+        memory.append(questions[i] if questions else f"q{i}", f"a{i}", vec, float(i))
+    return memory.view()
 
 
 class TestDialogueRetrieval:
     def test_empty_memory(self):
-        assert retrieve_dialogue((), QueryVec(vec=np.ones(4), text="q"), -1.0) is None
+        assert retrieve_dialogue((), (), QueryVec(vec=np.ones(4), text="q"), -1.0) is None
 
     def test_best_above_threshold_returned(self):
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        entries = (
-            entry("q0", "a0", vec_with_cosine(q, 0.1), 0),
-            entry("q1", "a1", vec_with_cosine(q, 0.6983), 1),
-        )
-        hit = retrieve_dialogue(entries, QueryVec(vec=q, text="q"), min_sim=0.35)
+        entries, blocks = dialogue(vec_with_cosine(q, 0.1), vec_with_cosine(q, 0.6983))
+        hit = retrieve_dialogue(entries, blocks, QueryVec(vec=q, text="q"), min_sim=0.35)
         assert hit is not None
         best, sim = hit
         assert best.question == "q1"
@@ -198,20 +202,90 @@ class TestDialogueRetrieval:
 
     def test_all_below_threshold(self):
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        entries = (entry("q0", "a0", vec_with_cosine(q, 0.1), 0),)
-        assert retrieve_dialogue(entries, QueryVec(vec=q, text="q"), min_sim=0.35) is None
+        entries, blocks = dialogue(vec_with_cosine(q, 0.1))
+        assert retrieve_dialogue(entries, blocks, QueryVec(vec=q, text="q"), min_sim=0.35) is None
 
     def test_nonempty_memory_with_min_sim_minus_one_always_hits(self):
         q = np.array([1.0, 0.0, 0.0, 0.0])
-        entries = (entry("q0", "a0", -q, 0),)
-        assert retrieve_dialogue(entries, QueryVec(vec=q, text="q"), min_sim=-1.0) is not None
+        entries, blocks = dialogue(-q)
+        assert retrieve_dialogue(entries, blocks, QueryVec(vec=q, text="q"),
+                                 min_sim=-1.0) is not None
 
     def test_tie_goes_to_most_recent(self):
         q = np.array([1.0, 0.0, 0.0, 0.0])
         shared = vec_with_cosine(q, 0.9)
-        entries = (entry("old", "a", shared, 0), entry("new", "a", shared.copy(), 1))
-        best, _ = retrieve_dialogue(entries, QueryVec(vec=q, text="q"), min_sim=0.0)
+        entries, blocks = dialogue(shared, shared.copy(), questions=["old", "new"])
+        best, _ = retrieve_dialogue(entries, blocks, QueryVec(vec=q, text="q"), min_sim=0.0)
         assert best.question == "new"
+
+    def test_query_of_another_width_is_input_error(self):
+        entries, blocks = dialogue(np.ones(4))
+        with pytest.raises(InputError, match="dimension mismatch"):
+            retrieve_dialogue(entries, blocks, QueryVec(vec=np.ones(3), text="q"), -1.0)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms of 1e154
+    def test_same_turn_and_similarity_bits_as_the_scan(self, data):
+        # small integer entries make exact ties, and a row repeated at another
+        # scale ties up to rounding; the turn counts straddle the index's
+        # block edges at 64 and 192 rows, and the scales reach both ends of
+        # the range where approximate scores are trusted
+        n = data.draw(st.sampled_from([1, 2, 3, 63, 64, 65, 127, 128, 129, 191, 192, 193]))
+        d = data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            values = st.lists(st.integers(-2, 2), min_size=d, max_size=d).map(np.array)
+        else:
+            values = st.integers(0, 2**32 - 1).map(
+                lambda seed: np.random.default_rng(seed).standard_normal(d))
+        pool = data.draw(st.lists(values, min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                             st.sampled_from([1.0, 3.0, 0.1])),
+                                   min_size=n, max_size=n))
+        vecs = np.array([pool[i] * scale for i, scale in picks], dtype=np.float64)
+        vecs *= data.draw(st.sampled_from([1.0, 1e-160]))  # with a tiny query, products underflow
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            vecs[i] = 0.0
+        if data.draw(st.booleans()):
+            vecs[data.draw(st.integers(0, n - 1))] *= 1e150
+        qv = data.draw(values).astype(np.float64)
+        qv *= data.draw(st.sampled_from([0.0, 1.0, 1e-160, 1e150, 1e154, np.nan]))
+        entries, blocks = dialogue(*vecs)
+        q = QueryVec(vec=qv, text="q")
+        cutoffs = [data.draw(st.floats(-1.0, 1.0))]
+        best = scan_dialogue(vecs, qv, -np.inf)
+        if best is not None:  # a NaN query scores only zero rows
+            cutoffs += [best[1], np.nextafter(best[1], np.inf)]
+        for min_sim in cutoffs:
+            expected = scan_dialogue(vecs, qv, min_sim)
+            hit = retrieve_dialogue(entries, blocks, q, min_sim)
+            if expected is None:
+                assert hit is None
+            else:
+                assert hit is not None
+                assert hit[0] is entries[expected[0]]
+                assert np.float64(hit[1]).tobytes() == np.float64(expected[1]).tobytes()
+
+    def test_rechecks_only_the_band(self, monkeypatch):
+        # without ties every turn but the best lies outside the band, so a
+        # lookup that fell back to scoring each turn alone, or that re-checked
+        # the zero rows, would show here
+        rng = np.random.default_rng(24)
+        vecs = rng.standard_normal((1000, 512))
+        vecs[::100] = 0.0
+        entries, blocks = dialogue(*vecs)
+        calls = []
+        exact = retrieval.cosine_similarity
+        monkeypatch.setattr(retrieval, "cosine_similarity",
+                            lambda a, b: calls.append(1) or exact(a, b))
+        for _ in range(20):
+            qv = rng.standard_normal(512)
+            sims = [exact(qv, v) for v in vecs]
+            in_band = sum(sim >= max(sims) - 2 * BAND for sim in sims)
+            calls.clear()
+            best, sim = retrieve_dialogue(entries, blocks, QueryVec(vec=qv, text="q"), -1.0)
+            assert (best.turn_index, sim) == scan_dialogue(vecs, qv, -1.0)
+            assert 1 <= len(calls) <= in_band
 
 
 class TestAssemble:
@@ -219,12 +293,12 @@ class TestAssemble:
         tree = random_tree_view(rng, 4, g=2) if with_tree else ()
         q_axis = np.zeros(6)
         q_axis[0] = 1.0
-        dialogue = (
-            (entry("prev q", "prev a", vec_with_cosine(q_axis, 0.8), 0),)
-            if with_dialogue
-            else ()
-        )
-        return MemorySnapshot(version=1, short_term=short, tree=tree, dialogue=dialogue)
+        memory = DialogueMemory()
+        if with_dialogue:
+            memory.append("prev q", "prev a", vec_with_cosine(q_axis, 0.8), 0.0)
+        turns, blocks = memory.view()
+        return MemorySnapshot(version=1, short_term=short, tree=tree, dialogue=turns,
+                              dialogue_blocks=blocks)
 
     def cfg(self):
         return MemoryConfig(min_dialogue_sim=0.35)
