@@ -220,11 +220,6 @@ class VisionBuffer:
             raise InputError("buffer capacity must be >= 1")
 
     def push(self, e: VisionEmbedding) -> Chunk | None:
-        if self.entries and e.tokens.shape != self.entries[0].tokens.shape:
-            raise InputError(
-                f"embedding shape {e.tokens.shape} does not match buffered "
-                f"{self.entries[0].tokens.shape}"
-            )
         self.entries.append(e)
         if len(self.entries) >= self.capacity:
             chunk = make_chunk(self.entries)

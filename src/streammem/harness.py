@@ -470,7 +470,15 @@ def repl(
     from standard input; 'quit' or end-of-input shuts down cleanly."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    engine = Engine(mem_cfg, GateConfig(threshold_t=mem_cfg.threshold_t), ports)
+    bundle = None  # the last one generated from; submit_query runs on this thread
+
+    def generate(b):
+        nonlocal bundle
+        bundle = b
+        return ports.generator(b)
+
+    engine = Engine(mem_cfg, GateConfig(threshold_t=mem_cfg.threshold_t),
+                    dataclasses.replace(ports, generator=generate))
     engine.start(synth_scenes(spec))
     answers: list[AnswerRecord] = []
     try:
@@ -484,9 +492,9 @@ def repl(
             answers.append(record)
             print(f"answer: {record.answer}", file=stdout)
             print(f"rpd: {record.rpd:.4f}s", file=stdout)
-            if engine.last_path is not None and engine.last_path.steps:
+            if record.bundle_digest and bundle.path.steps:  # no digest: encoding failed
                 path_str = " -> ".join(
-                    f"L{s.level}#{s.index}({s.similarity:.4f})" for s in engine.last_path.steps
+                    f"L{s.level}#{s.index}({s.similarity:.4f})" for s in bundle.path.steps
                 )
                 print(f"path: {path_str}", file=stdout)
     finally:

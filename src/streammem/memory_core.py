@@ -386,7 +386,6 @@ class DialogueEntry:
     answer: str
     vec: np.ndarray  # a read-only view of the turn's row in the dialogue index
     turn_index: int
-    timestamp: float
 
 
 FIRST_BLOCK_ROWS = 64  # the index's blocks hold 64, 128, 256, ... rows
@@ -411,7 +410,7 @@ class DialogueMemory:
         self.turns: list[DialogueEntry] = []
         self.blocks: list[DialogueBlock] = []
 
-    def append(self, question: str, answer: str, vec, timestamp: float) -> None:
+    def append(self, question: str, answer: str, vec) -> None:
         """Check the text encoder's vector for the turn and index it.  A
         vector that is not 1-D, not finite, of another width than the first
         turn's, or whose norm overflows is a BackendError."""
@@ -425,7 +424,7 @@ class DialogueMemory:
         norms[n - first] = norm
         row = rows[n - first]
         row.flags.writeable = False
-        self.turns.append(DialogueEntry(question, answer, row, turn_index=n, timestamp=timestamp))
+        self.turns.append(DialogueEntry(question, answer, row, turn_index=n))
 
     def _checked(self, vec) -> tuple[np.ndarray, float]:
         try:
@@ -497,11 +496,11 @@ class MemoryStore:
         self.short = refresh_short_term(list(self.recent), self.cfg, rng)
         self.version += 1
 
-    def on_answer(self, question: str, answer: str, timestamp: float) -> None:
+    def on_answer(self, question: str, answer: str) -> None:
         if not question:
             raise InputError("dialogue question must be nonempty")
         vec = call_port("dialogue encoding", self.text_encoder, f"Q: {question} A: {answer}")
-        self.dialogue.append(question, answer, vec, timestamp)
+        self.dialogue.append(question, answer, vec)
         self.version += 1
 
     def snapshot(self) -> MemorySnapshot:

@@ -24,11 +24,13 @@ import threading
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BackendError, InputError, call_port
 from .frame_gate import Chunk, Frame, FrameGate, GateConfig, VisionBuffer
 from .memory_core import MemoryConfig, MemoryStore
 from .ports import PortSet
-from .retrieval import PathResult, assemble_context, bundle_digest, encode_query
+from .retrieval import assemble_context, bundle_digest, encode_query
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,12 @@ class RunReport:
 # the stage core
 
 
+# k-means squares the differences of token values and sums them, over a
+# token's width and a chunk's rows: below this magnitude a difference's
+# square is below 2**514, so any sum of fewer than 2**500 of them is finite.
+MAX_TOKEN_ABS = 2.0**256
+
+
 class Stages:
     """The stage logic both drivers share: intake gates, encodes and buffers
     frames, formation writes chunks and answered turns into the store,
@@ -87,6 +95,7 @@ class Stages:
         self.store = MemoryStore(mem_cfg, ports.captioner, ports.text_encoder)
         self.frames_in = 0
         self.frames_kept = 0
+        self.token_shape = None  # the first kept frame's
 
     def intake(self, frame: Frame) -> Chunk | None:
         """Gate one frame and, if kept, encode and buffer it.  Returns the
@@ -95,36 +104,53 @@ class Stages:
         if not self.gate.update(frame).kept:
             return None
         self.frames_kept += 1
-        return self.buf.push(call_port("frame encoding", self.ports.frame_encoder, frame))
+        embedding = call_port("frame encoding", self.ports.frame_encoder, frame)
+        self._check_tokens(getattr(embedding, "tokens", None))
+        return self.buf.push(embedding)
+
+    def _check_tokens(self, tokens) -> None:
+        """A kept frame's tokens must be a nonempty 2-D array of real numbers
+        of the first kept frame's shape, finite and at most MAX_TOKEN_ABS in
+        magnitude; anything else is a BackendError."""
+        if not (isinstance(tokens, np.ndarray) and tokens.ndim == 2 and tokens.size
+                and tokens.dtype.kind in "iuf"):
+            problem = f"tokens that are not a nonempty 2-D array of numbers: {tokens!r:.60}"
+        elif self.token_shape not in (None, tokens.shape):
+            problem = (f"token shape {tokens.shape}, where the first kept frame's "
+                       f"is {self.token_shape}")
+        elif not np.isfinite(tokens).all():
+            problem = "non-finite token values"
+        elif not (np.abs(tokens) <= MAX_TOKEN_ABS).all():
+            problem = f"a token value over {MAX_TOKEN_ABS:.6g} in magnitude"
+        else:
+            self.token_shape = tokens.shape
+            return
+        raise BackendError(f"frame encoding failed: {problem}")
 
     def form(self, item: Chunk | AnswerRecord) -> None:
         """Write a chunk, or an answered turn, into memory."""
         if isinstance(item, Chunk):
             self.store.on_chunk(item)
         else:
-            self.store.on_answer(item.question, item.answer, item.t_done)
+            self.store.on_answer(item.question, item.answer)
 
-    def answer(
-        self, question: str, t_input: float, snapshot, now
-    ) -> tuple[AnswerRecord, PathResult | None]:
+    def answer(self, question: str, t_input: float, snapshot, now) -> AnswerRecord:
         """Encode the question, assemble its context from `snapshot`, digest
         the bundle and generate.  `now()` is the driver's clock: it is read
         when generation starts (or a port failed) and when the answer is
         done."""
-        answer, digest, path, error = "", "", None, None
+        answer, digest, error = "", "", None
         try:
             q = call_port("query encoding", encode_query, question, self.ports.text_encoder)
             bundle = assemble_context(snapshot, q, self.mem_cfg)
-            path = bundle.path
             digest = bundle_digest(bundle)
             t_start = now()
             answer = call_port("generation", self.ports.generator, bundle)
         except BackendError as exc:
             error = str(exc)
             t_start = now()
-        record = AnswerRecord(question, answer, t_input, t_start, now(),
-                              t_start - t_input, digest, error)
-        return record, path
+        return AnswerRecord(question, answer, t_input, t_start, now(),
+                            t_start - t_input, digest, error)
 
     def report(self, duration: float, answers: list[AnswerRecord], mode: str) -> RunReport:
         config = dataclasses.asdict(self.mem_cfg)
@@ -185,9 +211,8 @@ def run_sim(
         else:
             req = queries[qi]
             qi += 1
-            record, _ = stages.answer(
-                req.question, req.t_input, stages.store.snapshot(), now=lambda: req.t_input
-            )
+            record = stages.answer(req.question, req.t_input, stages.store.snapshot(),
+                                   now=lambda: req.t_input)
             answers.append(record)
             if record.error is None:
                 # appended after generation completes: a query never sees its own turn
@@ -228,7 +253,6 @@ class Engine:
         self._error: Exception | None = None  # first stage failure
         self._source_done = threading.Event()
         self._stopped = False
-        self.last_path = None  # PathResult of the most recent query, for display
         self._thread: threading.Thread | None = None
 
     @property
@@ -293,9 +317,8 @@ class Engine:
             raise InputError("engine stopped; no further queries accepted")
         if not question:  # its turn would fail formation and end the engine
             raise InputError("a question must be nonempty")
-        record, self.last_path = self._stages.answer(
-            question, self._now(), self.latest_snapshot(), now=self._now
-        )
+        record = self._stages.answer(question, self._now(), self.latest_snapshot(),
+                                     now=self._now)
         if record.error is None:
             with self._cond:
                 # a turn sent after stop's final None would never be formed

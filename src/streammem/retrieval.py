@@ -67,9 +67,9 @@ def descend_tree(tree: TreeView, q: QueryVec) -> PathResult:
     """Greedy descent from the topmost materialized level to level 0.
 
     At the top, every node is a candidate (children of the virtual root);
-    below, only the chosen node's children.  Ties break to the earlier span,
-    then the lower index.
-    """
+    below, only the chosen node's children.  Each level of `tree` must be in
+    chronological order, as `check_tree_invariants` requires, so the first
+    candidate of the highest similarity is the one of the earliest span."""
     if not tree:
         return EMPTY_PATH
     top = len(tree) - 1
@@ -78,17 +78,11 @@ def descend_tree(tree: TreeView, q: QueryVec) -> PathResult:
     centroids: list[np.ndarray] = []
     for level in range(top, -1, -1):
         nodes = tree[level]
-        best_idx = None
-        best_key = None
-        for idx in candidates:
-            node = nodes[idx]
-            sim = cosine_similarity(q.vec, node.caption_vec)
-            key = (-sim, node.span[0], idx)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = idx
+        # the first maximum is kept; a NaN compares false: it displaces nothing, nor is displaced
+        sim, best_idx = max(((cosine_similarity(q.vec, nodes[i].caption_vec), i)
+                             for i in candidates), key=lambda scored: scored[0])
         chosen = nodes[best_idx]
-        steps.append(PathStep(level=level, index=best_idx, similarity=-best_key[0]))
+        steps.append(PathStep(level=level, index=best_idx, similarity=sim))
         centroids.append(chosen.centroids)
         if level > 0:
             candidates = range(chosen.child_start, chosen.child_end)
@@ -115,9 +109,11 @@ MAX_QUERY_NORM = 2.0**511
 
 def _approx_cosines(blocks: tuple[DialogueBlock, ...], n: int, qv: np.ndarray) -> np.ndarray:
     """Cosine of `qv` with each of the first `n` indexed turns, from one
-    matrix product per block: 0 for a zero turn vector, as in
-    `cosine_similarity`, and NaN where the bound above does not hold."""
+    matrix product per block: 0 for a zero turn vector or a zero query, as
+    in `cosine_similarity`, and NaN where the bound above does not hold."""
     q_norm = math.sqrt(qv @ qv)
+    if q_norm == 0.0:
+        return np.zeros(n)
     if not q_norm < MAX_QUERY_NORM:  # NaN too
         q_norm = math.nan
     dots, norms = [], []
@@ -127,7 +123,7 @@ def _approx_cosines(blocks: tuple[DialogueBlock, ...], n: int, qv: np.ndarray) -
         norms.append(row_norms[:m])
     norms = np.concatenate(norms)
     denom = norms * q_norm
-    denom[denom < MIN_NORM_PRODUCT] = np.nan  # a zero query's too
+    denom[denom < MIN_NORM_PRODUCT] = np.nan
     denom[norms == 0.0] = 1.0  # over a dot product that is 0
     return np.concatenate(dots) / denom
 
@@ -142,19 +138,22 @@ def retrieve_dialogue(
     ties go to the most recent turn; None when the best similarity is below
     min_sim or memory is empty.
 
-    Every turn is scored approximately by `_approx_cosines`.  Only the turns
-    within BAND of the best score, and those whose score is NaN, are scored
-    again by `cosine_similarity`, in turn order.  The exact best always lies
-    in that band, so the turn chosen and the similarity reported are those
-    of an exact scan of every turn."""
+    Every turn is scored approximately by `_approx_cosines`.  If no score is
+    NaN and the best is more than BAND below min_sim, no exact score reaches
+    min_sim: a miss.  Otherwise only the turns within BAND of the best score,
+    and those whose score is NaN, are scored again by `cosine_similarity`,
+    in turn order.  The exact best always lies in that band, so the turn
+    chosen and the similarity reported are those of an exact scan."""
     if not entries:
         return None
     width = blocks[0][0].shape[1:]
     if q.vec.shape != width:
         raise InputError(f"vector dimension mismatch: {q.vec.shape} vs {width}")
     scores = _approx_cosines(blocks, len(entries), q.vec)
-    # fmax skips NaN, and NaN compares false: a NaN score is a candidate
-    candidates = ~(scores < np.fmax.reduce(scores) - BAND)
+    top = np.fmax.reduce(scores)  # skips NaN
+    if top + BAND < min_sim and not np.isnan(scores).any():
+        return None
+    candidates = ~(scores < top - BAND)  # NaN compares false: a NaN score is a candidate
     best = None
     best_sim = -np.inf
     for i in candidates.nonzero()[0]:
@@ -171,7 +170,6 @@ class PromptBundle:
     """The retrieved context handed to the generator port."""
 
     short_term: tuple[VisionEmbedding, ...]
-    tree_tokens: tuple[np.ndarray, ...]
     dialogue_context: tuple[str, str] | None
     question: str
     path: PathResult = EMPTY_PATH
@@ -190,7 +188,6 @@ def assemble_context(snapshot: MemorySnapshot, q: QueryVec, cfg) -> PromptBundle
         dialogue_context = (entry.question, entry.answer)
     return PromptBundle(
         short_term=snapshot.short_term,
-        tree_tokens=path.collected_centroids,
         dialogue_context=dialogue_context,
         question=q.text,
         path=path,
@@ -215,7 +212,7 @@ def bundle_to_json(bundle: PromptBundle) -> dict:
             }
             for e in bundle.short_term
         ],
-        "tree_tokens": [_matrix_json(m) for m in bundle.tree_tokens],
+        "tree_tokens": [_matrix_json(m) for m in bundle.path.collected_centroids],
         "path": [
             {"level": s.level, "index": s.index, "similarity": s.similarity}
             for s in bundle.path.steps

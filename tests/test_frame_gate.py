@@ -170,12 +170,6 @@ class TestVisionBuffer:
         assert len(emitted) == 2
         assert all(len(c) == 25 for c in emitted)
 
-    def test_dimension_mismatch_rejected(self):
-        buf = VisionBuffer(capacity=3)
-        buf.push(make_embedding(0.0, n=2, d=4))
-        with pytest.raises(InputError):
-            buf.push(make_embedding(1.0, n=3, d=4))
-
     def test_flush_emits_partial_chunk(self):
         buf = VisionBuffer(capacity=5)
         buf.push(make_embedding(0.0))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from streammem.harness import (
 )
 from streammem.memory_core import PRESETS, MemoryConfig
 from streammem.pipeline import AnswerRecord
-from streammem.ports import hash_text_encode, stub_ports
+from streammem.ports import TagCaptioner, hash_text_encode, stub_ports
+from streammem.retrieval import cosine_similarity
 
 
 def spec_2scenes(motion=0.5, **kw):
@@ -381,6 +383,44 @@ class TestRepl:
         final = json.loads(text.strip().splitlines()[-1])
         assert final["clock_mode"] == "wall"
 
+    def test_prints_the_path_of_the_bundle_answered_from(self):
+        # the question is read once the captioner has begun the second chunk,
+        # so the first unit is published, and that caption waits for the
+        # answers, so the second is not; the second question fails encoding
+        began_second, answered = threading.Event(), threading.Event()
+        captions = []
+
+        class Captioner(TagCaptioner):
+            def caption_chunk(self, chunk):
+                captions.append(super().caption_chunk(chunk))
+                if len(captions) == 2:
+                    began_second.set()
+                    answered.wait(timeout=30)
+                return captions[-1]
+
+        def text_encoder(text):
+            if text == "unanswerable":
+                raise RuntimeError("text encoder down")
+            return hash_text_encode(text)
+
+        def lines():
+            assert began_second.wait(timeout=30)
+            yield "what is in the kitchen scene\n"
+            yield "unanswerable\n"
+            answered.set()
+            yield "quit\n"
+
+        stdout = io.StringIO()
+        ports = dataclasses.replace(stub_ports(), captioner=Captioner(), text_encoder=text_encoder)
+        report = repl(MemoryConfig(threshold_t=0.0, chunk_len_L=5, group_size_g=2,
+                                   cluster_goal_C=2), ports, spec_2scenes(), lines(), stdout)
+        sim = cosine_similarity(hash_text_encode("what is in the kitchen scene"),
+                                hash_text_encode(captions[0]))
+        paths = [line for line in stdout.getvalue().splitlines() if line.startswith("path:")]
+        assert paths == [f"path: L0#0({sim:.4f})"]
+        assert [a.error for a in report.answers] == [
+            None, "query encoding failed: text encoder down"]
+
     def test_quit_ends_a_long_stream_early(self):
         spec = SceneSpec(scenes=tuple(
             SceneDef(tags=(f"scene{i}",), duration=20.0, motion=0.5) for i in range(20)
@@ -650,6 +690,39 @@ class TestCli:
         assert f"dialogue encoding failed: {problem}" in err
         assert "Traceback" not in err
         assert len(turns) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("clock", ["sim", "wall"])
+    @pytest.mark.parametrize("first_bad,change,problem", [
+        (26, lambda t: t[:, :16], "token shape (4, 16), where the first kept frame's is (4, 32)"),
+        (10, lambda t: t[:, :16], "token shape (4, 16)"),
+        (1, lambda t: t * 1e200, "a token value over 1.15792e+77 in magnitude"),
+        (3, lambda t: np.vstack([t[:1] * np.nan, t[1:]]), "non-finite token values"),
+        (2, lambda t: t.ravel(), "tokens that are not a nonempty 2-D array of numbers"),
+    ], ids=["width-at-chunk-start", "width-in-chunk", "huge", "nan", "1-d"])
+    def test_bad_frame_tokens_exit_3(self, tmp_path, capsys, monkeypatch, clock, first_bad,
+                                     change, problem):
+        # the frame encoder answers well until its first_bad-th kept frame;
+        # the base preset's chunks hold 25 kept frames
+        encoder, calls = stub_ports().frame_encoder, []
+
+        def frame_encoder(frame):
+            calls.append(frame)
+            embedding = encoder(frame)
+            if len(calls) < first_bad:
+                return embedding
+            return dataclasses.replace(embedding, tokens=change(embedding.tokens))
+
+        monkeypatch.setattr("streammem.cli.stub_ports", lambda: dataclasses.replace(
+            stub_ports(), frame_encoder=frame_encoder))
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(gen_trace(num_scenes=2, scene_duration=6.0, seed=24), trace_path)
+        assert main(["run", str(trace_path), "--clock", clock,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"backend error: frame encoding failed: {problem}" in err
+        assert "Traceback" not in err
+        assert len(calls) == first_bad
         assert not (tmp_path / "out").exists()
 
     def test_trace_not_utf8_exits_2(self, tmp_path, capsys):

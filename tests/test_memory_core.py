@@ -311,32 +311,32 @@ class TestDialogue:
 
     def test_first_turn(self):
         store = self.make_store()
-        store.on_answer("what is it", "a cup", timestamp=1.0)
+        store.on_answer("what is it", "a cup")
         (entry,) = store.snapshot().dialogue
         assert entry.turn_index == 0
 
     def test_append_only_in_order(self):
         store = self.make_store()
         for i in range(5):
-            store.on_answer(f"q{i}", f"a{i}", timestamp=float(i))
+            store.on_answer(f"q{i}", f"a{i}")
         turns = store.snapshot().dialogue
         assert [e.turn_index for e in turns] == list(range(5))
         assert [e.question for e in turns] == [f"q{i}" for i in range(5)]
 
     def test_encoding_deterministic(self):
         s1, s2 = self.make_store(), self.make_store()
-        s1.on_answer("q", "a", 0.0)
-        s2.on_answer("q", "a", 0.0)
+        s1.on_answer("q", "a")
+        s2.on_answer("q", "a")
         assert np.array_equal(s1.snapshot().dialogue[0].vec, s2.snapshot().dialogue[0].vec)
 
     def test_empty_question_rejected(self):
         with pytest.raises(InputError):
-            self.make_store().on_answer("", "a", 0.0)
+            self.make_store().on_answer("", "a")
 
     def test_blocks_double_and_entries_view_their_rows(self):
         store = self.make_store()
         for i in range(200):
-            store.on_answer(f"q{i}", f"a{i}", float(i))
+            store.on_answer(f"q{i}", f"a{i}")
         snap = store.snapshot()
         assert [(len(rows), len(norms), first) for rows, norms, first
                 in snap.dialogue_blocks] == [(64, 64, 0), (128, 128, 64), (256, 256, 192)]
@@ -360,9 +360,9 @@ class TestDialogue:
     def test_bad_turn_vector_is_backend_error(self, second, problem):
         replies = iter([np.ones(512), second])
         store = MemoryStore(small_cfg(), TagCaptioner(), lambda text: next(replies))
-        store.on_answer("q0", "a0", 0.0)
+        store.on_answer("q0", "a0")
         with pytest.raises(BackendError, match=f"^dialogue encoding failed: {problem}"):
-            store.on_answer("q1", "a1", 1.0)
+            store.on_answer("q1", "a1")
         snap = store.snapshot()
         assert [e.question for e in snap.dialogue] == ["q0"]
         snap.check(2)
@@ -372,14 +372,14 @@ class TestDialogue:
         # they would win every lookup that could see them
         store = self.make_store()
         for i in range(60):
-            store.on_answer(f"what about w{i}", f"a{i}", float(i))
+            store.on_answer(f"what about w{i}", f"a{i}")
         snap = store.snapshot()
         cfg = small_cfg()
         questions = [f"what about w{i}" for i in (0, 30, 59, 99)] + ["unrelated words"]
         queries = [encode_query(text, hash_text_encode) for text in questions]
         before = [bundle_digest(assemble_context(snap, q, cfg)) for q in queries]
         for i in range(60, 140):
-            store.on_answer(questions[i % len(questions)], f"b{i}", float(i))
+            store.on_answer(questions[i % len(questions)], f"b{i}")
         assert len(snap.dialogue) == 60
         assert [bundle_digest(assemble_context(snap, q, cfg)) for q in queries] == before
         latest = store.snapshot()

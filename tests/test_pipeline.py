@@ -84,7 +84,7 @@ def sequential_reference_digests(frames, queries, mem_cfg, gate_cfg, ports):
             bundle = assemble_context(store.snapshot(), q, mem_cfg)
             digests.append(bundle_digest(bundle))
             answer = ports.generator(bundle)
-            store.on_answer(req.question, answer, req.t_input)
+            store.on_answer(req.question, answer)
             qi += 1
     return digests
 
@@ -460,7 +460,8 @@ class TestWallFailures:
         with pytest.raises(BackendError):
             engine.submit_query("anything")
 
-    def test_cli_wall_run_against_unreachable_backend_exits_3(self, tmp_path):
+    def test_cli_wall_run_against_unreachable_backend_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("streammem.ports.BACKOFF_BASE", 0.01)
         trace_path = tmp_path / "trace.jsonl"
         save_trace(gen_trace(num_scenes=2, scene_duration=6.0), trace_path)
         with socket.socket() as sock:  # a port nothing listens on

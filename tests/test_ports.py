@@ -177,7 +177,6 @@ class TestEchoGenerator:
     def test_echoes_caption_and_dialogue(self):
         bundle = PromptBundle(
             short_term=(),
-            tree_tokens=(),
             dialogue_context=("what was it", "a cup"),
             question="q",
             path=EMPTY_PATH,
@@ -186,7 +185,5 @@ class TestEchoGenerator:
         assert "what was it" in text and "a cup" in text
 
     def test_empty_bundle_fallback(self):
-        bundle = PromptBundle(
-            short_term=(), tree_tokens=(), dialogue_context=None, question="q"
-        )
+        bundle = PromptBundle(short_term=(), dialogue_context=None, question="q")
         assert EchoGenerator()(bundle) == "no visual memory yet"

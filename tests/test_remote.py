@@ -267,8 +267,7 @@ def test_non_string_generated_text_is_protocol_error(server):
     MockHandler.reply_body = '{"text": 7}'
     ports = remote_ports(RemoteBackendConfig(base_url=server))
     with pytest.raises(ProtocolError):
-        ports.generator(PromptBundle(short_term=(), tree_tokens=(), dialogue_context=None,
-                                     question="q"))
+        ports.generator(PromptBundle(short_term=(), dialogue_context=None, question="q"))
 
 
 def test_backoff_doubles_between_attempts(server, sleeps):

@@ -16,6 +16,7 @@ from streammem.memory_core import (
     MemoryConfig,
     TreeNode,
 )
+from streammem.ports import hash_text_encode
 from streammem.retrieval import (
     BAND,
     PromptBundle,
@@ -25,6 +26,7 @@ from streammem.retrieval import (
     bundle_to_json,
     cosine_similarity,
     descend_tree,
+    encode_query,
     retrieve_dialogue,
 )
 
@@ -183,7 +185,7 @@ def dialogue(*vecs, questions=None):
     turn i asks `questions[i]`, or "q{i}"."""
     memory = DialogueMemory()
     for i, vec in enumerate(vecs):
-        memory.append(questions[i] if questions else f"q{i}", f"a{i}", vec, float(i))
+        memory.append(questions[i] if questions else f"q{i}", f"a{i}", vec)
     return memory.view()
 
 
@@ -255,7 +257,7 @@ class TestDialogueRetrieval:
         cutoffs = [data.draw(st.floats(-1.0, 1.0))]
         best = scan_dialogue(vecs, qv, -np.inf)
         if best is not None:  # a NaN query scores only zero rows
-            cutoffs += [best[1], np.nextafter(best[1], np.inf)]
+            cutoffs += [best[1], np.nextafter(best[1], np.inf), best[1] + BAND, best[1] + 0.25]
         for min_sim in cutoffs:
             expected = scan_dialogue(vecs, qv, min_sim)
             hit = retrieve_dialogue(entries, blocks, q, min_sim)
@@ -287,6 +289,27 @@ class TestDialogueRetrieval:
             assert (best.turn_index, sim) == scan_dialogue(vecs, qv, -1.0)
             assert 1 <= len(calls) <= in_band
 
+    def test_a_miss_rechecks_no_turn(self, monkeypatch):
+        # turns of three words, and questions that share at most one word
+        # with any of them, so that every best score lies below the cutoff
+        rng = np.random.default_rng(25)
+        texts = [" ".join(rng.choice([f"w{i}" for i in range(400)], 3)) for _ in range(250)]
+        vecs = [hash_text_encode(text) for text in texts]
+        entries, blocks = dialogue(*vecs)
+        calls = []
+        exact = retrieval.cosine_similarity
+        monkeypatch.setattr(retrieval, "cosine_similarity",
+                            lambda a, b: calls.append(1) or exact(a, b))
+        for question in ("?", "four fresh words here", f"{texts[0].split()[0]} fresh words here"):
+            q = encode_query(question, hash_text_encode)
+            assert scan_dialogue(vecs, q.vec, 0.35) is None
+            assert retrieve_dialogue(entries, blocks, q, 0.35) is None
+            assert calls == []
+        q = encode_query(texts[7], hash_text_encode)
+        best, sim = retrieve_dialogue(entries, blocks, q, 0.35)
+        assert (best.turn_index, sim) == scan_dialogue(vecs, q.vec, 0.35)
+        assert calls
+
 
 class TestAssemble:
     def make_snapshot(self, rng, with_tree=True, with_dialogue=True, short=()):
@@ -295,7 +318,7 @@ class TestAssemble:
         q_axis[0] = 1.0
         memory = DialogueMemory()
         if with_dialogue:
-            memory.append("prev q", "prev a", vec_with_cosine(q_axis, 0.8), 0.0)
+            memory.append("prev q", "prev a", vec_with_cosine(q_axis, 0.8))
         turns, blocks = memory.view()
         return MemorySnapshot(version=1, short_term=short, tree=tree, dialogue=turns,
                               dialogue_blocks=blocks)
@@ -311,7 +334,7 @@ class TestAssemble:
                                   short=(make_embedding(1.0),))
         q = QueryVec(vec=np.ones(6), text="what")
         bundle = assemble_context(snap, q, self.cfg())
-        assert bundle.tree_tokens == ()
+        assert bundle.path.collected_centroids == ()
         assert bundle.dialogue_context is None
         assert len(bundle.short_term) == 1
         assert bundle.question == "what"
@@ -332,7 +355,7 @@ class TestAssemble:
         qv = np.zeros(6)
         qv[0] = 1.0
         bundle = assemble_context(snap, QueryVec(vec=qv, text="q"), self.cfg())
-        assert len(bundle.tree_tokens) == len(snap.tree)
+        assert len(bundle.path.collected_centroids) == len(snap.tree)
         assert bundle.dialogue_context == ("prev q", "prev a")
 
     def make_bundle(self, seed):
@@ -346,7 +369,7 @@ class TestAssemble:
     def test_json_carries_matrices_by_shape_and_hash(self):
         bundle = self.make_bundle(6)
         doc = bundle_to_json(bundle)
-        m = bundle.tree_tokens[0]
+        m = bundle.path.collected_centroids[0]
         assert doc["tree_tokens"][0] == {
             "shape": list(m.shape),
             "digest": hashlib.sha256(m.astype(np.float64).tobytes()).hexdigest()[:16],
@@ -364,9 +387,8 @@ class TestAssemble:
         changed = dataclasses.replace(unit, tokens=tokens)
         assert bundle_digest(dataclasses.replace(bundle, short_term=(changed,))) != reference
 
-        tree_tokens = list(bundle.tree_tokens)
+        tree_tokens = list(bundle.path.collected_centroids)
         tree_tokens[-1] = tree_tokens[-1].copy()
         tree_tokens[-1][0, 0] += 1e-9
-        assert bundle_digest(
-            dataclasses.replace(bundle, tree_tokens=tuple(tree_tokens))
-        ) != reference
+        path = dataclasses.replace(bundle.path, collected_centroids=tuple(tree_tokens))
+        assert bundle_digest(dataclasses.replace(bundle, path=path)) != reference
