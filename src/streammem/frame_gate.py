@@ -97,6 +97,19 @@ class GateConfig:
             raise InputError(f"threshold_t must be in [0,1], got {self.threshold_t}")
 
 
+def _gradients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.gradient(p)` of a 2-D array with both sides 2 or more, bit for
+    bit: central differences inside, one-sided differences at the edges."""
+    iy, ix = np.empty_like(p), np.empty_like(p)
+    np.divide(p[2:] - p[:-2], 2.0, out=iy[1:-1])
+    np.subtract(p[1], p[0], out=iy[0])
+    np.subtract(p[-1], p[-2], out=iy[-1])
+    np.divide(p[:, 2:] - p[:, :-2], 2.0, out=ix[:, 1:-1])
+    np.subtract(p[:, 1], p[:, 0], out=ix[:, 0])
+    np.subtract(p[:, -1], p[:, -2], out=ix[:, -1])
+    return iy, ix
+
+
 @dataclass(frozen=True)
 class MotionReference:
     """What a motion solve needs of the earlier frame: its downsampled
@@ -121,10 +134,10 @@ class MotionReference:
             raise InputError(f"a frame needs at least 2 x 2 pixels, got {frame.pixels.shape}")
         stride = max(1, min(math.ceil(max(frame.pixels.shape) / DOWNSAMPLE_MAX_EDGE), short - 1))
         p = frame.pixels[::stride, ::stride].astype(np.float64)
-        iy, ix = np.gradient(p)
+        iy, ix = _gradients(p)
         return MotionReference(
             shape=frame.pixels.shape, stride=stride, pixels=p, ix=ix, iy=iy,
-            sxx=float(np.sum(ix * ix)), sxy=float(np.sum(ix * iy)), syy=float(np.sum(iy * iy)),
+            sxx=float((ix * ix).sum()), sxy=float((ix * iy).sum()), syy=float((iy * iy).sum()),
         )
 
     def motion_to(self, cur: Frame) -> MotionEstimate:
@@ -142,8 +155,8 @@ class MotionReference:
             return MotionEstimate(u=0.0, v=0.0, magnitude=0.0, degenerate=True)
 
         it = cur.pixels[:: self.stride, :: self.stride].astype(np.float64) - self.pixels
-        bx = float(-np.sum(self.ix * it))
-        by = float(-np.sum(self.iy * it))
+        bx = float(-(self.ix * it).sum())
+        by = float(-(self.iy * it).sum())
         u = (syy * bx - sxy * by) / det * self.stride
         v = (sxx * by - sxy * bx) / det * self.stride
         magnitude = min(math.hypot(u, v) / NORM_SCALE, 1.0)

@@ -490,7 +490,10 @@ def repl(
                 break
             record = engine.submit_query(question)
             answers.append(record)
-            print(f"answer: {record.answer}", file=stdout)
+            if record.error is None:
+                print(f"answer: {record.answer}", file=stdout)
+            else:
+                print(f"error: {record.error}", file=stdout)
             print(f"rpd: {record.rpd:.4f}s", file=stdout)
             if record.bundle_digest and bundle.path.steps:  # no digest: encoding failed
                 path_str = " -> ".join(

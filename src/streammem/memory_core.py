@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,32 +112,53 @@ class KMeansResult:
     objective_history: tuple[float, ...]  # per Lloyd iteration, non-increasing
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(r, m, k) squared distances from the m points to each of the k centers
-    of r restarts.  Each center's slab is summed over its last axis, so every
-    distance is the same pairwise sum a single (m, k, d) broadcast gives."""
+def _sq_dists(points: np.ndarray, centers: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(r, k, m) squared distances from the m points to each of the k centers
+    of r restarts, through `work`, an (r' >= r, m, d) buffer.  Each center's
+    slab is summed over its contiguous last axis, so every distance is the
+    same pairwise sum a single (m, k, d) broadcast gives.  Each slab is
+    contiguous, so a reduction over the centers runs along rows of m."""
     r, k, _ = centers.shape
-    dists = np.empty((r, points.shape[0], k))
+    diff = work[:r]
+    dists = np.empty((r, k, points.shape[0]))
     for c in range(k):
-        dists[:, :, c] = np.sum((points - centers[:, c, None, :]) ** 2, axis=2)
+        np.subtract(points, centers[:, c, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=-1, out=dists[:, c])
     return dists
 
 
-def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur and Vassilvitskii, 2007)."""
+def _seed_centers(points: np.ndarray, k: int, seed: int, work: np.ndarray) -> np.ndarray:
+    """k-means++ seeding (Arthur and Vassilvitskii, 2007) of the N_INIT
+    restarts at once, through `work` as in `_sq_dists`; returns their
+    (N_INIT, k, d) centers.
+
+    Restart `trial` draws from its own generator, seeded by
+    `derive_seed(seed, "kmeans-init", trial)`: its first center is
+    `rng.integers(m)`, and each later one the draw `rng.choice(m, p=d2 /
+    total)` makes, by the inverse CDF that `Generator.choice` uses, without
+    its checks of `p`; when no point lies off the centers so far (`total`
+    is 0) it is `rng.integers(m)` again."""
     m = points.shape[0]
-    first = int(rng.integers(m))
-    centroids = [points[first]]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
-    for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(m))
-        else:
-            idx = int(rng.choice(m, p=d2 / total))
-        centroids.append(points[idx])
-        d2 = np.minimum(d2, np.sum((points - centroids[-1]) ** 2, axis=1))
-    return np.array(centroids)
+    rngs = [np.random.Generator(np.random.PCG64(derive_seed(seed, "kmeans-init", trial)))
+            for trial in range(N_INIT)]
+    chosen = np.empty((N_INIT, k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(m) for rng in rngs]
+    d2 = _sq_dists(points, points[chosen[:, :1]], work)[:, 0]  # (r, m)
+    for j in range(1, k):
+        totals = d2.sum(axis=1)
+        if not np.isfinite(totals).all():
+            raise InputError("clustering input too large: squared distances overflow")
+        drawn = totals > 0
+        cdf = np.cumsum(d2 / np.where(drawn, totals, 1.0)[:, None], axis=1)
+        np.divide(cdf, cdf[:, -1:].copy(), out=cdf, where=drawn[:, None])
+        for trial, rng in enumerate(rngs):
+            if drawn[trial]:
+                chosen[trial, j] = cdf[trial].searchsorted(rng.random(), side="right")
+            else:
+                chosen[trial, j] = rng.integers(m)
+        np.minimum(d2, _sq_dists(points, points[chosen[:, j, None]], work)[:, 0], out=d2)
+    return points[chosen]
 
 
 def _update(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.ndarray:
@@ -174,24 +195,26 @@ def _update(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.nd
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
+def _lloyd(points: np.ndarray, centers: np.ndarray,
+           work: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
     """Lloyd's algorithm on the (r, k, d) seeded centers of r restarts at
-    once.  Each step assigns by the distances to the centers the previous
-    step computed, updates the centers and measures the new ones once.  A
-    restart stops when its assignment stops changing, or after MAX_ITER
-    steps.  Returns each restart's final centers and objective history."""
+    once, through `work` as in `_sq_dists`.  Each step assigns by the
+    distances to the centers the previous step computed, updates the centers
+    and measures the new ones once.  A restart stops when its assignment
+    stops changing, or after MAX_ITER steps.  Returns each restart's final
+    centers and objective history."""
     r, m = centers.shape[0], points.shape[0]
     final = centers.copy()
     histories: list[list[float]] = [[] for _ in range(r)]
     live = np.arange(r)  # restarts still moving
-    dists = _sq_dists(points, centers)
-    nearest = np.argmin(dists, axis=2)
+    dists = _sq_dists(points, centers, work)
+    nearest = dists.argmin(axis=1)
     labels = np.zeros((r, m), dtype=np.int64)  # the previous step's assignment
     for _ in range(MAX_ITER):
-        centers = _update(points, dists, nearest)
-        dists = _sq_dists(points, centers)
-        nearest = np.argmin(dists, axis=2)
-        objectives = np.min(dists, axis=2).sum(axis=1)
+        centers = _update(points, dists.transpose(0, 2, 1), nearest)
+        dists = _sq_dists(points, centers, work)
+        nearest = dists.argmin(axis=1)
+        objectives = dists.min(axis=1).sum(axis=1)
         for i, objective in zip(live, objectives):
             histories[i].append(float(objective))
         final[live] = centers
@@ -219,16 +242,14 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         raise InputError("non-finite values in clustering input")
 
     canon = points[np.lexsort(points.T[::-1])]  # canonical row order
-    distinct = np.unique(canon, axis=0)
-    if k >= distinct.shape[0]:
+    # equal rows are adjacent in canon, so a row unlike the one before starts a new distinct row
+    distinct = 1 + int(np.count_nonzero((canon[1:] != canon[:-1]).any(axis=1)))
+    if k >= distinct:
         # one centroid per distinct point: every point sits on its centroid
-        return KMeansResult(distinct, 0.0, (0.0,))
+        return KMeansResult(np.unique(canon, axis=0), 0.0, (0.0,))
 
-    seeded = np.array([
-        _seed_centers(canon, k, np.random.default_rng(derive_seed(seed, "kmeans-init", trial)))
-        for trial in range(N_INIT)
-    ])
-    centers, histories = _lloyd(canon, seeded)
+    work = np.empty((N_INIT, *canon.shape))
+    centers, histories = _lloyd(canon, _seed_centers(canon, k, seed, work), work)
     best = 0  # in restart order, a restart wins by beating the best so far by 1e-12
     for trial in range(1, N_INIT):
         if histories[trial][-1] < histories[best][-1] - 1e-12:
@@ -256,6 +277,13 @@ class TreeNode:
     level: int
     child_start: int = 0
     child_end: int = 0
+    caption_norm: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the norm `cosine_similarity` takes, so descent scores with its bits
+        vec = np.asarray(self.caption_vec, dtype=np.float64)
+        object.__setattr__(self, "caption_vec", vec)
+        object.__setattr__(self, "caption_norm", np.linalg.norm(vec))
 
 
 def _build_node(points, seed, cfg, describe, text_encoder, span, level, start=0, end=0):
@@ -268,7 +296,7 @@ def _build_node(points, seed, cfg, describe, text_encoder, span, level, start=0,
     return TreeNode(
         centroids=result.centroids,
         caption=caption,
-        caption_vec=np.asarray(caption_vec, dtype=np.float64),
+        caption_vec=caption_vec,
         span=span,
         level=level,
         child_start=start,

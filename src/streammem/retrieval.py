@@ -35,10 +35,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """dot(a,b)/(|a||b|); zero vectors yield 0.0 by convention."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    return _cosine(a, np.linalg.norm(a), b, np.linalg.norm(b))
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """`cosine_similarity` of `a` and `b`, whose norms are `na` and `nb`."""
     if a.shape != b.shape:
         raise InputError(f"vector dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -76,10 +79,11 @@ def descend_tree(tree: TreeView, q: QueryVec) -> PathResult:
     candidates = range(len(tree[top]))
     steps: list[PathStep] = []
     centroids: list[np.ndarray] = []
+    q_norm = np.linalg.norm(q.vec)
     for level in range(top, -1, -1):
         nodes = tree[level]
         # the first maximum is kept; a NaN compares false: it displaces nothing, nor is displaced
-        sim, best_idx = max(((cosine_similarity(q.vec, nodes[i].caption_vec), i)
+        sim, best_idx = max(((_cosine(q.vec, q_norm, nodes[i].caption_vec, nodes[i].caption_norm), i)
                              for i in candidates), key=lambda scored: scored[0])
         chosen = nodes[best_idx]
         steps.append(PathStep(level=level, index=best_idx, similarity=sim))
@@ -107,25 +111,25 @@ MIN_NORM_PRODUCT = 1e-300
 MAX_QUERY_NORM = 2.0**511
 
 
-def _approx_cosines(blocks: tuple[DialogueBlock, ...], n: int, qv: np.ndarray) -> np.ndarray:
-    """Cosine of `qv` with each of the first `n` indexed turns, from one
-    matrix product per block: 0 for a zero turn vector or a zero query, as
-    in `cosine_similarity`, and NaN where the bound above does not hold."""
-    q_norm = math.sqrt(qv @ qv)
-    if q_norm == 0.0:
-        return np.zeros(n)
-    if not q_norm < MAX_QUERY_NORM:  # NaN too
-        q_norm = math.nan
+def _approx_cosines(blocks: tuple[DialogueBlock, ...], n: int, qv: np.ndarray,
+                    q_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of `qv`, whose norm is `q_norm`, with each of the first `n`
+    indexed turns, from one matrix product per block: 0 for a zero turn
+    vector or a zero query, as in `cosine_similarity`, and NaN where the
+    bound above does not hold.  Returns them with the turns' stored norms."""
     dots, norms = [], []
     for rows, row_norms, first in blocks:  # each block holds a row below n
         m = min(len(rows), n - first)
-        dots.append(rows[:m] @ qv)
         norms.append(row_norms[:m])
+        if q_norm != 0.0:
+            dots.append(rows[:m] @ qv)
     norms = np.concatenate(norms)
-    denom = norms * q_norm
+    if q_norm == 0.0:
+        return np.zeros(n), norms
+    denom = norms * (q_norm if q_norm < MAX_QUERY_NORM else math.nan)  # NaN too
     denom[denom < MIN_NORM_PRODUCT] = np.nan
     denom[norms == 0.0] = 1.0  # over a dot product that is 0
-    return np.concatenate(dots) / denom
+    return np.concatenate(dots) / denom, norms
 
 
 def retrieve_dialogue(
@@ -141,15 +145,17 @@ def retrieve_dialogue(
     Every turn is scored approximately by `_approx_cosines`.  If no score is
     NaN and the best is more than BAND below min_sim, no exact score reaches
     min_sim: a miss.  Otherwise only the turns within BAND of the best score,
-    and those whose score is NaN, are scored again by `cosine_similarity`,
-    in turn order.  The exact best always lies in that band, so the turn
-    chosen and the similarity reported are those of an exact scan."""
+    and those whose score is NaN, are scored again as `cosine_similarity`
+    scores them, from the stored norms, in turn order.  The exact best
+    always lies in that band, so the turn chosen and the similarity reported
+    are those of an exact scan."""
     if not entries:
         return None
     width = blocks[0][0].shape[1:]
     if q.vec.shape != width:
         raise InputError(f"vector dimension mismatch: {q.vec.shape} vs {width}")
-    scores = _approx_cosines(blocks, len(entries), q.vec)
+    q_norm = np.linalg.norm(q.vec)
+    scores, norms = _approx_cosines(blocks, len(entries), q.vec, q_norm)
     top = np.fmax.reduce(scores)  # skips NaN
     if top + BAND < min_sim and not np.isnan(scores).any():
         return None
@@ -157,7 +163,7 @@ def retrieve_dialogue(
     best = None
     best_sim = -np.inf
     for i in candidates.nonzero()[0]:
-        sim = cosine_similarity(q.vec, entries[i].vec)
+        sim = _cosine(q.vec, q_norm, entries[i].vec, norms[i])
         if sim >= best_sim:
             best, best_sim = entries[i], sim
     if best is None or best_sim < min_sim:

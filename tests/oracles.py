@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: exhaustive SSD search
 for motion, exhaustive partition enumeration for clustering, a standalone
 per-level argmax walk over the serialized tree for retrieval, a per-turn scan
-for the dialogue lookup, and Lloyd's algorithm run one restart and one
-cluster at a time.
+for the dialogue lookup, and k-means++ seeding and Lloyd's algorithm run one
+restart and one cluster at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +59,24 @@ def best_partition_objective(points: np.ndarray, k: int) -> float:
         contrib = np.where(counts > 0, np.sum(sums**2, axis=2) / counts, 0.0)
     objectives = total_sq - contrib.sum(axis=1)
     return float(objectives.min())
+
+
+def seed_centers_loop(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur and Vassilvitskii, 2007) of one restart, a
+    center at a time, each drawn by `rng.choice` with its checks of `p`; a
+    draw when every point sits on a center so far is `rng.integers(m)`."""
+    m = points.shape[0]
+    centroids = [points[int(rng.integers(m))]]
+    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(m))
+        else:
+            idx = int(rng.choice(m, p=d2 / total))
+        centroids.append(points[idx])
+        d2 = np.minimum(d2, np.sum((points - centroids[-1]) ** 2, axis=1))
+    return np.array(centroids)
 
 
 def lloyd_update_loop(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.ndarray:

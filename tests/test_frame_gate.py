@@ -80,6 +80,24 @@ class TestEstimateMotion:
             assert est.magnitude == 0.0
 
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gradients_are_np_gradient_bits(self, data):
+        # from 2 x 2 up to 64 x 64 kept whole, and larger frames strided down,
+        # some of them views of a wider array
+        side = st.integers(2, 64) if data.draw(st.booleans()) else st.integers(65, 300)
+        shape = (data.draw(side), data.draw(side))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pixels = rng.random((shape[0], 2 * shape[1]))[:, ::2] if data.draw(st.booleans()) \
+            else rng.random(shape)
+        ref = MotionReference.of(Frame(pixels=pixels, timestamp=0.0))
+        assert ref.stride == (1 if max(shape) <= 64 else math.ceil(max(shape) / 64))
+        want_iy, want_ix = np.gradient(pixels[:: ref.stride, :: ref.stride])
+        assert ref.iy.tobytes() == want_iy.tobytes()
+        assert ref.ix.tobytes() == want_ix.tobytes()
+        assert ref.sxy == float(np.sum(want_ix * want_iy))
+
+
 class TestGate:
     def test_first_frame_always_kept(self):
         gate = FrameGate(GateConfig(threshold_t=0.9))

@@ -421,6 +421,23 @@ class TestRepl:
         assert [a.error for a in report.answers] == [
             None, "query encoding failed: text encoder down"]
 
+    def test_a_failed_question_prints_its_error(self):
+        def text_encoder(text):
+            if text == "boom":
+                raise RuntimeError("text encoder down")
+            return hash_text_encode(text)
+
+        stdout = io.StringIO()
+        ports = dataclasses.replace(stub_ports(), text_encoder=text_encoder)
+        report = repl(MemoryConfig(threshold_t=0.0, chunk_len_L=5, group_size_g=2,
+                                   cluster_goal_C=2), ports, spec_2scenes(),
+                      io.StringIO("boom\nwhat is in the kitchen scene\nquit\n"), stdout)
+        replies = [line for line in stdout.getvalue().splitlines()
+                   if line.startswith(("answer:", "error:"))]
+        assert [a.error for a in report.answers] == ["query encoding failed: text encoder down", None]
+        assert replies == ["error: query encoding failed: text encoder down",
+                           f"answer: {report.answers[1].answer}"]
+
     def test_quit_ends_a_long_stream_early(self):
         spec = SceneSpec(scenes=tuple(
             SceneDef(tags=(f"scene{i}",), duration=20.0, motion=0.5) for i in range(20)

@@ -11,6 +11,7 @@ from oracles import (
     iterated_ceil_sizes,
     lloyd_loop,
     lloyd_update_loop,
+    seed_centers_loop,
 )
 from streammem import memory_core
 from streammem.errors import BackendError, InputError
@@ -148,6 +149,12 @@ class TestKMeans:
         with pytest.raises(InputError):
             kmeans(np.array([[np.nan, 0.0]]), k=1, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_rejected(self):
+        # finite rows whose squared distances sum past the float range
+        with pytest.raises(InputError, match="overflow"):
+            kmeans(np.array([[0.0], [1e154], [-1e154], [3.0]]), k=2, seed=0)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         points = rng.standard_normal((10, 3))
@@ -205,6 +212,41 @@ class TestKMeans:
                 want = lloyd_update_loop(points, dists[i], nearest[i])
                 assert got[i].tobytes() == want.tobytes()
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_seeding_matches_restart_by_restart_choice(self, data):
+        # all N_INIT restarts seeded at once draw what rng.choice draws for
+        # each alone, bit for bit; equal rows leave no point off the centers
+        # (total 0), so every later draw is rng.integers
+        m = data.draw(st.one_of(st.just(2), st.integers(2, 140)))
+        d = data.draw(st.integers(1, 5))
+        kind = data.draw(st.sampled_from(["normal", "integer-grid", "duplicated", "equal"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "normal":
+            points = rng.standard_normal((m, d))
+        elif kind == "integer-grid":
+            points = rng.integers(0, 3, (m, d)).astype(float)
+        elif kind == "duplicated":
+            points = rng.standard_normal((m // 2, d))[rng.integers(0, m // 2, m)]
+        else:
+            points = np.tile(rng.standard_normal(d), (m, 1))
+        k = data.draw(st.integers(1, m - 1))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        work = np.empty((memory_core.N_INIT, m, d))
+        got = memory_core._seed_centers(points, k, seed, work)
+        assert got.shape == (memory_core.N_INIT, k, d)
+        for trial in range(memory_core.N_INIT):
+            rng = np.random.default_rng(derive_seed(seed, "kmeans-init", trial))
+            assert got[trial].tobytes() == seed_centers_loop(points, k, rng).tobytes()
+
+    def test_signed_zeros_count_as_one_distinct_point(self):
+        # kmeans counts distinct rows by comparing neighbours of the sorted
+        # rows; np.unique, which gives the centroids, agrees that -0.0 == 0.0
+        points = np.array([[0.0, 1.0], [2.0, 0.0], [-0.0, 1.0]])
+        res = kmeans(points, k=2, seed=0)
+        assert res.centroids.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+        assert res.objective_history == (0.0,)
+
     @pytest.mark.parametrize("grid", [False, True], ids=["normal", "integer-grid"])
     def test_matches_restart_by_restart_loop(self, grid):
         # bit for bit, with two or more columns: the batched update sums a
@@ -221,7 +263,7 @@ class TestKMeans:
             if k >= len(np.unique(canon, axis=0)):
                 continue
             seeded = [
-                memory_core._seed_centers(
+                seed_centers_loop(
                     canon, k, np.random.default_rng(derive_seed(seed, "kmeans-init", trial))
                 )
                 for trial in range(memory_core.N_INIT)

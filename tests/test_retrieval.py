@@ -77,6 +77,15 @@ def vec_with_cosine(q: np.ndarray, target: float) -> np.ndarray:
     return target * q + math.sqrt(1 - target**2) * ortho
 
 
+def count_exact_scores(monkeypatch) -> list:
+    """Patch the exact cosine that `cosine_similarity`, descent and the
+    dialogue re-check all use; the list returned grows by one per call."""
+    calls = []
+    exact = retrieval._cosine
+    monkeypatch.setattr(retrieval, "_cosine", lambda *args: calls.append(1) or exact(*args))
+    return calls
+
+
 class TestCosine:
     def test_identity(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -163,6 +172,23 @@ class TestDescend:
             for lv in view
         )
         assert [(s.level, s.index) for s in descend_tree(scaled, q).steps] == base
+
+    def test_similarities_are_cosine_similarity_bits(self):
+        # descent scores from each node's stored norm, also after a replace;
+        # a zero caption vector scores 0.0 and a query of another width fails
+        rng = np.random.default_rng(26)
+        view = random_tree_view(rng, 30, g=3)
+        view = (view[0], view[1], tuple(dataclass_replace(n, caption_vec=n.caption_vec * 3.0)
+                                        for n in view[2]), view[3])
+        for _ in range(20):
+            q = QueryVec(vec=rng.standard_normal(6), text="q")
+            for step in descend_tree(view, q).steps:
+                want = cosine_similarity(q.vec, view[step.level][step.index].caption_vec)
+                assert np.float64(step.similarity).tobytes() == np.float64(want).tobytes()
+        zero = (tuple(dataclass_replace(n, caption_vec=[0.0] * 6) for n in view[0]),)
+        assert descend_tree(zero, q).steps[0].similarity == 0.0
+        with pytest.raises(InputError, match="dimension mismatch"):
+            descend_tree(view, QueryVec(vec=np.ones(5), text="q"))
 
     def test_path_is_parent_child_chain(self):
         rng = np.random.default_rng(9)
@@ -276,10 +302,8 @@ class TestDialogueRetrieval:
         vecs = rng.standard_normal((1000, 512))
         vecs[::100] = 0.0
         entries, blocks = dialogue(*vecs)
-        calls = []
         exact = retrieval.cosine_similarity
-        monkeypatch.setattr(retrieval, "cosine_similarity",
-                            lambda a, b: calls.append(1) or exact(a, b))
+        calls = count_exact_scores(monkeypatch)
         for _ in range(20):
             qv = rng.standard_normal(512)
             sims = [exact(qv, v) for v in vecs]
@@ -296,10 +320,7 @@ class TestDialogueRetrieval:
         texts = [" ".join(rng.choice([f"w{i}" for i in range(400)], 3)) for _ in range(250)]
         vecs = [hash_text_encode(text) for text in texts]
         entries, blocks = dialogue(*vecs)
-        calls = []
-        exact = retrieval.cosine_similarity
-        monkeypatch.setattr(retrieval, "cosine_similarity",
-                            lambda a, b: calls.append(1) or exact(a, b))
+        calls = count_exact_scores(monkeypatch)
         for question in ("?", "four fresh words here", f"{texts[0].split()[0]} fresh words here"):
             q = encode_query(question, hash_text_encode)
             assert scan_dialogue(vecs, q.vec, 0.35) is None
