@@ -225,6 +225,62 @@ def test_report_bytes_pinned(preset, seed):
     assert hashlib.sha256(report.to_json_str().encode()).hexdigest() == REPORT_SHA256[(preset, seed)]
 
 
+class TestSimOrder:
+    def test_a_turn_is_formed_before_the_next_query(self):
+        # frames come every 0.2 s and end before 20 s: each pair of queries
+        # has no frame between them, the second pair none after it either
+        trace = gen_trace(2, 10, fps=5, seed=27601)
+        queries = [QueryRequest("what scene is showing right now", 5.05),
+                   QueryRequest("what scene is showing now", 5.1),
+                   QueryRequest("what did we see earlier", 30.0),
+                   QueryRequest("what did we see earlier on", 30.0)]
+        report = run_sim(trace.frames(), queries, small_cfg(), GateConfig(), stub_ports())
+        for first, second in (report.answers[:2], report.answers[2:]):
+            assert f"(recalling: {first.question} -> {first.answer})" in second.answer
+
+
+class TestSnapshotContract:
+    """perfbench pairs the i-th run_sim query with the i-th
+    MemoryStore.snapshot() call, and spantrace starts a sim query at it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        snapshot = MemoryStore.snapshot
+
+        def counted_snapshot(store):
+            calls.append("snapshot")
+            return snapshot(store)
+
+        def counted_encode(question, text_encoder):
+            calls.append(question)
+            return encode_query(question, text_encoder)
+
+        monkeypatch.setattr(MemoryStore, "snapshot", counted_snapshot)
+        monkeypatch.setattr("streammem.pipeline.encode_query", counted_encode)
+        return calls
+
+    def test_run_sim_reads_one_snapshot_just_before_each_query(self, calls):
+        trace = gen_trace(3, 10, fps=5, seed=27602)
+        queries = [QueryRequest(q.question, q.t_input) for q in trace.queries]
+        queries += [QueryRequest("what did we see earlier", 40.0),
+                    QueryRequest("what did we see earlier on", 40.0)]
+        report = run_sim(trace.frames(), queries, small_cfg(), GateConfig(), stub_ports())
+        assert report.frames_kept > small_cfg().chunk_len_L  # chunks were formed
+        assert calls == [c for q in queries for c in ("snapshot", q.question)]
+
+    def test_building_an_engine_reads_no_snapshot(self, calls):
+        Engine(small_cfg(), GateConfig(), stub_ports())
+        assert calls == []
+
+    def test_an_engine_before_start_answers_from_the_empty_store(self):
+        cfg, ports = small_cfg(), stub_ports()
+        engine = Engine(cfg, GateConfig(), ports)
+        empty = MemoryStore(cfg, ports.captioner, ports.text_encoder).snapshot()
+        assert engine.latest_snapshot() == empty
+        assert engine.submit_query("what is in scene0").answer == "no visual memory yet"
+
+
 class TestWallMode:
     def test_basic_run_produces_answers_and_valid_snapshots(self):
         frames = moving_scene_frames(n_scenes=2, duration=8.0)
@@ -431,12 +487,24 @@ class TestWallFailures:
         with pytest.raises(InputError, match="^chunk rejected$"):
             run_sim(moving_scene_frames(), [], small_cfg(), GateConfig(), ports)
 
-    def test_failing_dialogue_write_is_raised(self):
+    @pytest.mark.parametrize("driver", [run_sim, run_wall], ids=["sim", "wall"])
+    def test_failing_dialogue_write_is_raised(self, driver):
         ports = stub_ports()
         ports.text_encoder = DialogueFailingTextEncoder(ports.text_encoder)
-        _, error = self.run_failing(ports)
+        frames = moving_scene_frames(n_scenes=3, duration=10.0)
+        _, error = finish_within(
+            lambda: driver(frames, wall_queries(), small_cfg(), GateConfig(), ports), 10.0
+        )
         assert isinstance(error, BackendError)
         assert "text encoder down" in str(error)
+
+    def test_failing_dialogue_write_after_the_last_frame_is_raised_in_sim(self):
+        # the only turn is formed by run_sim's final drain
+        ports = stub_ports()
+        ports.text_encoder = DialogueFailingTextEncoder(ports.text_encoder)
+        frames = moving_scene_frames(n_scenes=1, duration=2.0)
+        with pytest.raises(BackendError, match="text encoder down"):
+            run_sim(frames, [QueryRequest("scene0 now", 60.0)], small_cfg(), GateConfig(), ports)
 
     def test_engine_raises_failure_from_submit_and_stop(self):
         ports = dataclasses.replace(stub_ports(), captioner=FailingCaptioner())
