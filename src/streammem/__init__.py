@@ -1,6 +1,6 @@
 """Streaming hierarchical-memory engine with a desk-scale benchmark harness."""
 
-from .errors import BackendError, InputError, ProtocolError, StreamMemError
+from .errors import BackendError, InputError, PortOutputError, ProtocolError, StreamMemError
 from .frame_gate import (
     Chunk,
     Frame,

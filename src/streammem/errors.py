@@ -1,6 +1,6 @@
 """Error taxonomy shared across the engine.
 
-InputError maps to CLI exit code 2, BackendError/ProtocolError to 3.
+InputError maps to CLI exit code 2, BackendError (and its subclasses) to 3.
 """
 
 import dataclasses
@@ -23,6 +23,12 @@ class BackendError(StreamMemError):
         super().__init__(message)
         self.endpoint = endpoint
         self.attempts = attempts
+
+
+class PortOutputError(BackendError):
+    """A model port returned a value of the wrong kind, shape or range.  The
+    port is broken, so the run ends even where a failing call would fail
+    only one answer."""
 
 
 class ProtocolError(BackendError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BackendError, InputError, call_port, check_numbers
+from .errors import InputError, PortOutputError, call_port, check_numbers
 from .frame_gate import Chunk, VisionEmbedding
 
 
@@ -103,6 +103,17 @@ def refresh_short_term(
 
 N_INIT = 8  # k-means++ restarts; the lowest objective wins
 MAX_ITER = 50  # Lloyd steps per restart
+# A Lloyd step reads each point's nearest center from approximate scores
+# |x|^2 + |c|^2 - 2 c.x when no other center scores within ASSIGN_BAND *
+# (d + 2) * (|x|^2 + max |c|^2) of the lowest.  For a scale in SCALE_RANGE,
+# each score is within (2d + 4) * 2^-53 of that scale of the true squared
+# distance and each exact sum within (2d + 6) * 2^-53, in any order of
+# summation a BLAS kernel takes (Higham's bound on a d-term sum).  The band,
+# (16d + 32) * 2^-53 of that scale, exceeds the (8d + 20) * 2^-53 that two
+# scores and two exact sums can err by together, so the exact sums put the
+# same center strictly first.
+ASSIGN_BAND = 8 * np.finfo(np.float64).eps
+SCALE_RANGE = (2.0**-900, 2.0**900)  # neither underflow nor overflow reaches the band
 
 
 @dataclass(frozen=True)
@@ -112,26 +123,23 @@ class KMeansResult:
     objective_history: tuple[float, ...]  # per Lloyd iteration, non-increasing
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """(r, k, m) squared distances from the m points to each of the k centers
-    of r restarts, through `work`, an (r' >= r, m, d) buffer.  Each center's
-    slab is summed over its contiguous last axis, so every distance is the
-    same pairwise sum a single (m, k, d) broadcast gives.  Each slab is
-    contiguous, so a reduction over the centers runs along rows of m."""
-    r, k, _ = centers.shape
-    diff = work[:r]
-    dists = np.empty((r, k, points.shape[0]))
-    for c in range(k):
-        np.subtract(points, centers[:, c, None, :], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=-1, out=dists[:, c])
-    return dists
+def _sq_dists(points: np.ndarray, centers: np.ndarray, work=None, out=None) -> np.ndarray:
+    """Exact squared distances between rows of `points` and `centers`,
+    broadcast against each other (through `work`, a buffer of the broadcast
+    shape, if given): the difference, its square and `np.add.reduce` over
+    the contiguous last axis, so each distance is the same pairwise sum
+    whatever the leading axes hold."""
+    diff = np.subtract(points, centers, out=work)
+    np.multiply(diff, diff, out=diff)
+    return np.add.reduce(diff, axis=-1, out=out)
 
 
-def _seed_centers(points: np.ndarray, k: int, seed: int, work: np.ndarray) -> np.ndarray:
+def _seed_centers(points: np.ndarray, k: int, seed: int,
+                  work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k-means++ seeding (Arthur and Vassilvitskii, 2007) of the N_INIT
-    restarts at once, through `work` as in `_sq_dists`; returns their
-    (N_INIT, k, d) centers.
+    restarts at once, through `work`, an (N_INIT, m, d) buffer; returns
+    their (N_INIT, k, d) centers and the (N_INIT, k, m) exact squared
+    distances from the points to each center, which the draws read.
 
     Restart `trial` draws from its own generator, seeded by
     `derive_seed(seed, "kmeans-init", trial)`: its first center is
@@ -144,8 +152,10 @@ def _seed_centers(points: np.ndarray, k: int, seed: int, work: np.ndarray) -> np
             for trial in range(N_INIT)]
     chosen = np.empty((N_INIT, k), dtype=np.intp)
     chosen[:, 0] = [rng.integers(m) for rng in rngs]
-    d2 = _sq_dists(points, points[chosen[:, :1]], work)[:, 0]  # (r, m)
+    dists = np.empty((N_INIT, k, m))
+    _sq_dists(points, points[chosen[:, :1]], work, out=dists[:, 0])
     for j in range(1, k):
+        d2 = dists[:, :j].min(axis=1)  # (r, m): to the nearest center so far
         totals = d2.sum(axis=1)
         if not np.isfinite(totals).all():
             raise InputError("clustering input too large: squared distances overflow")
@@ -157,71 +167,106 @@ def _seed_centers(points: np.ndarray, k: int, seed: int, work: np.ndarray) -> np
                 chosen[trial, j] = cdf[trial].searchsorted(rng.random(), side="right")
             else:
                 chosen[trial, j] = rng.integers(m)
-        np.minimum(d2, _sq_dists(points, points[chosen[:, j, None]], work)[:, 0], out=d2)
-    return points[chosen]
+        _sq_dists(points, points[chosen[:, j, None]], work, out=dists[:, j])
+    return points[chosen], dists
 
 
-def _update(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.ndarray:
-    """One Lloyd update of r restarts: each center moves to the mean of its
-    points, summed in row order as `mean(axis=0)` sums two or more columns
-    (it sums a single column pairwise, so on 1-D points a center can differ
-    from that mean in its last bit).
+def _assign(points: np.ndarray, sq_points: np.ndarray,
+            centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest center in each of r restarts, the first of equal
+    ones, and its exact squared distance to it, as (r, m) arrays.
+
+    The nearest center comes from one matrix product of approximate scores
+    when the band certifies it (see ASSIGN_BAND); a point with a NaN, an
+    inf, a tie or a near-tie among its scores, or a scale out of
+    SCALE_RANGE, is measured exactly to every center instead.  `sq_points`
+    holds each |x|^2."""
+    r, k, d = centers.shape
+    flat = centers.reshape(r * k, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_centers = np.einsum("rkd,rkd->rk", centers, centers)
+        scores = (flat @ points.T).reshape(r, k, -1)
+        scores *= -2.0
+        scores += sq_points
+        scores += sq_centers[:, :, None]
+        scale = sq_points + sq_centers.max(axis=1)[:, None]
+        band = np.minimum.reduce(scores, axis=1) + ASSIGN_BAND * (d + 2) * scale
+        within = scores <= band[:, None]
+    certain = (within.sum(axis=1) == 1) & (scale >= SCALE_RANGE[0]) & (scale <= SCALE_RANGE[1])
+    nearest = np.arange(k) @ within  # the one center within the band, where certain
+    rows, cols = np.nonzero(~certain)
+    if rows.size:
+        nearest[rows, cols] = _sq_dists(points[cols, None], centers[rows]).argmin(axis=1)
+    gathered = np.take(flat, nearest + k * np.arange(r)[:, None], axis=0)
+    return nearest, _sq_dists(points, gathered, gathered)
+
+
+def _update(tiled: np.ndarray, near: np.ndarray, nearest: np.ndarray, k: int) -> np.ndarray:
+    """One Lloyd update of r restarts with k clusters: each center moves to
+    the mean of its points, summed in row order as `mean(axis=0)` sums two
+    or more columns (it sums a single column pairwise, so on 1-D points a
+    center can differ from that mean in its last bit).  `tiled` holds the
+    (m, d) points once per restart, (r' >= r, m, d) and contiguous; `near`
+    is each point's squared distance to its nearest center.
 
     An empty cluster is reseeded to the point farthest from its nearest
     center, by the rule of a pass over the clusters in order: each empty
     cluster takes that point over, so a cluster after the first empty one
     no longer holds it when it is averaged, and is reseeded too if it held
     nothing else."""
-    r, m, k = dists.shape
+    r, m = nearest.shape
+    points = tiled[0]
     d = points.shape[1]
     members = nearest + k * np.arange(r)[:, None]  # flat (restart, cluster)
     counts = np.bincount(members.ravel(), minlength=r * k).reshape(r, k)
     reseeds = []
     for i in np.flatnonzero((counts == 0).any(axis=1)):
         empty = counts[i] == 0
-        far = int(np.argmax(np.min(dists[i], axis=1)))
+        far = int(np.argmax(near[i]))
         first, owner = int(np.argmax(empty)), nearest[i, far]
         if owner > first:
             members[i, far] = k * i + first  # summed into a cluster that is reseeded anyway
             counts[i, owner] -= 1
             empty[owner] = counts[i, owner] == 0
         reseeds.append((i, empty, far))
-    index = (members[:, :, None] * d + np.arange(d)).ravel()
-    weights = np.broadcast_to(points, (r, m, d)).ravel()
-    sums = np.bincount(index, weights, minlength=r * k * d).reshape(r, k, d)
+    slots = np.arange(r * k * d).reshape(r * k, d)  # bincount slots of each (restart, cluster)
+    index = np.take(slots, members, axis=0).ravel()
+    sums = np.bincount(index, tiled[:r].ravel(), minlength=r * k * d).reshape(r, k, d)
     centers = sums / np.maximum(counts, 1)[:, :, None]
     for i, empty, far in reseeds:
         centers[i, empty] = points[far]
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray,
+def _lloyd(points: np.ndarray, centers: np.ndarray, dists: np.ndarray,
            work: np.ndarray) -> tuple[np.ndarray, list[list[float]]]:
     """Lloyd's algorithm on the (r, k, d) seeded centers of r restarts at
-    once, through `work` as in `_sq_dists`.  Each step assigns by the
-    distances to the centers the previous step computed, updates the centers
-    and measures the new ones once.  A restart stops when its assignment
-    stops changing, or after MAX_ITER steps.  Returns each restart's final
-    centers and objective history."""
-    r, m = centers.shape[0], points.shape[0]
+    once, from the (r, k, m) exact squared distances to them; `work`, an
+    (r, m, d) buffer, is filled with a copy of the points per restart.
+    Each step assigns by the distances the previous step measured, updates
+    the centers and measures the new ones once.  A restart stops when its assignment stops changing, or after
+    MAX_ITER steps.  Returns each restart's final centers and objective
+    history."""
+    r, k = centers.shape[:2]
     final = centers.copy()
     histories: list[list[float]] = [[] for _ in range(r)]
     live = np.arange(r)  # restarts still moving
-    dists = _sq_dists(points, centers, work)
-    nearest = dists.argmin(axis=1)
-    labels = np.zeros((r, m), dtype=np.int64)  # the previous step's assignment
+    work[:] = points
+    with np.errstate(over="ignore"):
+        sq_points = np.einsum("md,md->m", points, points)
+    nearest, near = dists.argmin(axis=1), dists.min(axis=1)
+    labels = np.zeros(nearest.shape, dtype=np.int64)  # the previous step's assignment
     for _ in range(MAX_ITER):
-        centers = _update(points, dists.transpose(0, 2, 1), nearest)
-        dists = _sq_dists(points, centers, work)
-        nearest = dists.argmin(axis=1)
-        objectives = dists.min(axis=1).sum(axis=1)
+        centers = _update(work, near, nearest, k)
+        nearest, near = _assign(points, sq_points, centers)
+        objectives = near.sum(axis=1)
         for i, objective in zip(live, objectives):
             histories[i].append(float(objective))
         final[live] = centers
         moving = ~np.all(nearest == labels, axis=1)
         if not moving.any():
             break
-        live, dists, nearest = live[moving], dists[moving], nearest[moving]
+        live, near, nearest = live[moving], near[moving], nearest[moving]
         labels = nearest
     return final, histories
 
@@ -249,7 +294,8 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         return KMeansResult(np.unique(canon, axis=0), 0.0, (0.0,))
 
     work = np.empty((N_INIT, *canon.shape))
-    centers, histories = _lloyd(canon, _seed_centers(canon, k, seed, work), work)
+    centers, dists = _seed_centers(canon, k, seed, work)
+    centers, histories = _lloyd(canon, centers, dists, work)
     best = 0  # in restart order, a restart wins by beating the best so far by 1e-12
     for trial in range(1, N_INIT):
         if histories[trial][-1] < histories[best][-1] - 1e-12:
@@ -286,13 +332,38 @@ class TreeNode:
         object.__setattr__(self, "caption_norm", np.linalg.norm(vec))
 
 
+def check_text_vector(what: str, vec) -> tuple[np.ndarray, float]:
+    """A text encoder's vector as a float64 array, and its norm.  A vector
+    that is not 1-D, is empty, is not finite or whose norm overflows is a
+    PortOutputError naming `what`; a zero vector is legal, since empty text
+    encodes to one."""
+    try:
+        vec = np.asarray(vec, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise PortOutputError(f"{what} failed: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(vec) if vec.ndim == 1 else None
+    if vec.ndim != 1:
+        problem = f"a {vec.ndim}-D vector of shape {vec.shape}"
+    elif not vec.size:
+        problem = "an empty vector"
+    elif math.isfinite(norm):  # so is every value: a NaN or inf reaches the norm
+        return vec, norm
+    elif not np.isfinite(vec).all():
+        problem = "non-finite values"
+    else:
+        problem = "a norm that overflows"
+    raise PortOutputError(f"{what} failed: {problem}")
+
+
 def _build_node(points, seed, cfg, describe, text_encoder, span, level, start=0, end=0):
     """Cluster `points`, caption them with `describe()` and encode the
-    caption; a failing port surfaces as a BackendError."""
+    caption; a failing port surfaces as a BackendError, and a caption vector
+    that fails `check_text_vector` as a PortOutputError."""
     result = kmeans(points, cfg.cluster_goal_C, seed)
     what = f"captioning span {span}"
     caption = call_port(what, describe)
-    caption_vec = call_port(what, text_encoder, caption)
+    caption_vec, _ = check_text_vector(what, call_port(what, text_encoder, caption))
     return TreeNode(
         centroids=result.centroids,
         caption=caption,
@@ -440,9 +511,12 @@ class DialogueMemory:
 
     def append(self, question: str, answer: str, vec) -> None:
         """Check the text encoder's vector for the turn and index it.  A
-        vector that is not 1-D, not finite, of another width than the first
-        turn's, or whose norm overflows is a BackendError."""
-        vec, norm = self._checked(vec)
+        vector that fails `check_text_vector`, or of another width than the
+        first turn's, is a PortOutputError."""
+        vec, norm = check_text_vector("dialogue encoding", vec)
+        if self.blocks and vec.shape[0] != (width := self.blocks[0][0].shape[1]):
+            raise PortOutputError(f"dialogue encoding failed: width {vec.shape[0]}, "
+                                  f"where the first turn's is {width}")
         n = len(self.turns)
         if not self.blocks or n == self.blocks[-1][2] + len(self.blocks[-1][0]):
             size = FIRST_BLOCK_ROWS << len(self.blocks)
@@ -453,26 +527,6 @@ class DialogueMemory:
         row = rows[n - first]
         row.flags.writeable = False
         self.turns.append(DialogueEntry(question, answer, row, turn_index=n))
-
-    def _checked(self, vec) -> tuple[np.ndarray, float]:
-        try:
-            vec = np.asarray(vec, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise BackendError(f"dialogue encoding failed: {exc}") from exc
-        width = self.blocks[0][0].shape[1] if self.blocks else None
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.linalg.norm(vec) if vec.ndim == 1 else None
-        if vec.ndim != 1:
-            problem = f"a {vec.ndim}-D vector of shape {vec.shape}"
-        elif width is not None and vec.shape[0] != width:
-            problem = f"width {vec.shape[0]}, where the first turn's is {width}"
-        elif not np.isfinite(vec).all():
-            problem = "non-finite values"
-        elif not np.isfinite(norm):
-            problem = "a norm that overflows"
-        else:
-            return vec, norm
-        raise BackendError(f"dialogue encoding failed: {problem}")
 
     def view(self) -> tuple[tuple[DialogueEntry, ...], tuple[DialogueBlock, ...]]:
         return tuple(self.turns), tuple(self.blocks)

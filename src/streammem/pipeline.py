@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendError, InputError, call_port
+from .errors import BackendError, InputError, PortOutputError, call_port
 from .frame_gate import Frame, FrameGate, GateConfig, VisionBuffer
 from .memory_core import MemoryConfig, MemorySnapshot, MemoryStore
 from .ports import PortSet
@@ -140,7 +140,7 @@ class Engine:
     def _check_tokens(self, tokens) -> None:
         """A kept frame's tokens must be a nonempty 2-D array of real numbers
         of the first kept frame's shape, finite and at most MAX_TOKEN_ABS in
-        magnitude; anything else is a BackendError."""
+        magnitude; anything else is a PortOutputError."""
         if not (isinstance(tokens, np.ndarray) and tokens.ndim == 2 and tokens.size
                 and tokens.dtype.kind in "iuf"):
             problem = f"tokens that are not a nonempty 2-D array of numbers: {tokens!r:.60}"
@@ -154,7 +154,7 @@ class Engine:
         else:
             self._token_shape = tokens.shape
             return
-        raise BackendError(f"frame encoding failed: {problem}")
+        raise PortOutputError(f"frame encoding failed: {problem}")
 
     def finish(self) -> None:
         """Flush the partial chunk at stream end and form it."""
@@ -171,9 +171,11 @@ class Engine:
     def answer(self, question: str, t_input: float, snapshot, now) -> AnswerRecord:
         """Encode the question, assemble its context from `snapshot`, digest
         the bundle and generate; an answered turn goes into the inbox, so a
-        query never sees its own turn.  `now()` is the driver's clock: it is
-        read when generation starts (or a port failed) and when the answer
-        is done."""
+        query never sees its own turn.  A failing port call is the answer's
+        error; a port output of the wrong kind (a query vector that fails
+        `check_text_vector`, an answer that is not a string) is raised.
+        `now()` is the driver's clock: it is read when generation starts (or
+        a port failed) and when the answer is done."""
         answer, digest, error = "", "", None
         try:
             q = call_port("query encoding", encode_query, question, self.ports.text_encoder)
@@ -181,6 +183,11 @@ class Engine:
             digest = bundle_digest(bundle)
             t_start = now()
             answer = call_port("generation", self.ports.generator, bundle)
+            if not isinstance(answer, str):
+                raise PortOutputError(f"generation failed: an answer that is not a "
+                                      f"string: {answer!r:.60}")
+        except PortOutputError:
+            raise
         except BackendError as exc:
             error = str(exc)
             t_start = now()
@@ -282,12 +289,16 @@ class Engine:
         """End intake at the next frame boundary, flush the partial chunk,
         form every turn sent so far, join the worker, and raise the first
         stage failure, if any.  A source blocked inside next() holds stop
-        until it yields."""
+        until it yields.  An engine that was never started forms its turns
+        and publishes here."""
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
         if self._thread is not None:
             self._thread.join()
+        else:
+            self.drain()
+            self._publish()
         if self._error is not None:
             raise self._error
 

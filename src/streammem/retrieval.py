@@ -18,17 +18,26 @@ import numpy as np
 
 from .errors import InputError
 from .frame_gate import VisionEmbedding
-from .memory_core import DialogueBlock, DialogueEntry, MemorySnapshot, TreeView
+from .memory_core import (DialogueBlock, DialogueEntry, MemorySnapshot, TreeView,
+                          check_text_vector)
 
 
 @dataclass(frozen=True)
 class QueryVec:
     vec: np.ndarray
     text: str
+    norm: float | None = None  # np.linalg.norm(vec), taken here when not given
+
+    def __post_init__(self):
+        if self.norm is None:
+            object.__setattr__(self, "norm", np.linalg.norm(self.vec))
 
 
 def encode_query(text: str, text_encoder) -> QueryVec:
-    return QueryVec(vec=np.asarray(text_encoder(text), dtype=np.float64), text=text)
+    """Encode a question; a vector that fails `check_text_vector` is a
+    PortOutputError."""
+    vec, norm = check_text_vector("query encoding", text_encoder(text))
+    return QueryVec(vec=vec, text=text, norm=norm)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,7 +88,7 @@ def descend_tree(tree: TreeView, q: QueryVec) -> PathResult:
     candidates = range(len(tree[top]))
     steps: list[PathStep] = []
     centroids: list[np.ndarray] = []
-    q_norm = np.linalg.norm(q.vec)
+    q_norm = q.norm
     for level in range(top, -1, -1):
         nodes = tree[level]
         # the first maximum is kept; a NaN compares false: it displaces nothing, nor is displaced
@@ -154,7 +163,7 @@ def retrieve_dialogue(
     width = blocks[0][0].shape[1:]
     if q.vec.shape != width:
         raise InputError(f"vector dimension mismatch: {q.vec.shape} vs {width}")
-    q_norm = np.linalg.norm(q.vec)
+    q_norm = q.norm
     scores, norms = _approx_cosines(blocks, len(entries), q.vec, q_norm)
     top = np.fmax.reduce(scores)  # skips NaN
     if top + BAND < min_sim and not np.isnan(scores).any():

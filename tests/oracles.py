@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: exhaustive SSD search
 for motion, exhaustive partition enumeration for clustering, a standalone
 per-level argmax walk over the serialized tree for retrieval, a per-turn scan
-for the dialogue lookup, and k-means++ seeding and Lloyd's algorithm run one
-restart and one cluster at a time.
+for the dialogue lookup, and k-means++ seeding, Lloyd's algorithm and its
+squared distances run one restart and one cluster at a time.
 """
 
 from __future__ import annotations
@@ -77,6 +77,19 @@ def seed_centers_loop(points: np.ndarray, k: int, rng: np.random.Generator) -> n
         centroids.append(points[idx])
         d2 = np.minimum(d2, np.sum((points - centroids[-1]) ** 2, axis=1))
     return np.array(centroids)
+
+
+def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(r, k, m) exact squared distances from the m points to each of the k
+    centers of r restarts, a center at a time: the difference, its square
+    and `np.add.reduce` over the contiguous last axis, the sums k-means
+    reports."""
+    r, k, _ = centers.shape
+    dists = np.empty((r, k, points.shape[0]))
+    for c in range(k):
+        diff = points - centers[:, c, None, :]
+        np.add.reduce(diff * diff, axis=-1, out=dists[:, c])
+    return dists
 
 
 def lloyd_update_loop(points: np.ndarray, dists: np.ndarray, nearest: np.ndarray) -> np.ndarray:

@@ -742,6 +742,54 @@ class TestCli:
         assert len(calls) == first_bad
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("clock", ["sim", "wall"])
+    @pytest.mark.parametrize("reply", [b"an answer", None], ids=["bytes", "none"])
+    def test_answer_not_a_string_exits_3(self, tmp_path, capsys, monkeypatch, clock, reply):
+        monkeypatch.setattr("streammem.cli.stub_ports", lambda: dataclasses.replace(
+            stub_ports(), generator=lambda bundle: reply))
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(gen_trace(num_scenes=2, scene_duration=6.0, seed=24), trace_path)
+        assert main(["run", str(trace_path), "--clock", clock,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"backend error: generation failed: an answer that is not a string: {reply!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("clock", ["sim", "wall"])
+    @pytest.mark.parametrize("port,what", [("query", "query encoding"),
+                                           ("caption", "captioning span (")])
+    @pytest.mark.parametrize("bad,problem", [
+        ("a vector", "could not convert string to float"),
+        (np.ones((1, 512)), "a 2-D vector of shape (1, 512)"),
+        (np.r_[np.nan, np.ones(511)], "non-finite values"),
+        (np.empty(0), "an empty vector"),
+        (np.full(512, 1e300), "a norm that overflows"),
+    ], ids=["string", "1x512", "nan", "empty", "overflow"])
+    def test_bad_text_vector_exits_3(self, tmp_path, capsys, monkeypatch, clock, port, what,
+                                     bad, problem):
+        # the text encoder answers every question (port "query") or every
+        # caption (port "caption") badly, and the dialogue turns well
+        trace = gen_trace(num_scenes=2, scene_duration=6.0, seed=24)
+        questions = {q.question for q in trace.queries}
+
+        def text_encoder(text):
+            asked = text in questions
+            if not text.startswith("Q: ") and asked == (port == "query"):
+                return bad
+            return hash_text_encode(text)
+
+        monkeypatch.setattr("streammem.cli.stub_ports", lambda: dataclasses.replace(
+            stub_ports(), text_encoder=text_encoder))
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(trace, trace_path)
+        assert main(["run", str(trace_path), "--clock", clock,
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"backend error: {what}" in err and f"failed: {problem}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_trace_not_utf8_exits_2(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         trace_path.write_bytes(b'{"type": "header", "source": {"kind": "dir", "path": "\xff"}}\n')

@@ -1,4 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +18,17 @@ from oracles import (
     lloyd_loop,
     lloyd_update_loop,
     seed_centers_loop,
+    sq_dists,
 )
 from streammem import memory_core
-from streammem.errors import BackendError, InputError
+from streammem.errors import BackendError, InputError, PortOutputError
 from streammem.frame_gate import make_chunk
 from streammem.memory_core import (
     MemoryConfig,
     MemoryStore,
     MemoryTree,
     PRESETS,
+    check_text_vector,
     check_tree_invariants,
     derive_seed,
     forgetting_weights,
@@ -125,6 +133,15 @@ class TestShortTerm:
         assert sum(counts.values()) == trials
 
 
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy links an x86-64 OpenBLAS built with DYNAMIC_ARCH, whose
+    kernel OPENBLAS_CORETYPE then picks."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and platform.machine().lower() in ("x86_64", "amd64"))
+
+
 class TestKMeans:
     def test_one_cluster_per_distinct_point(self):
         points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
@@ -207,7 +224,8 @@ class TestKMeans:
             points = rng.standard_normal((m, d))
             dists = rng.random((r, m, k))
             nearest = rng.integers(0, k, (r, m))
-            got = memory_core._update(points, dists, nearest)
+            tiled = np.broadcast_to(points, (r, m, d)).copy()
+            got = memory_core._update(tiled, dists.min(axis=2), nearest, k)
             for i in range(r):
                 want = lloyd_update_loop(points, dists[i], nearest[i])
                 assert got[i].tobytes() == want.tobytes()
@@ -233,11 +251,77 @@ class TestKMeans:
         k = data.draw(st.integers(1, m - 1))
         seed = data.draw(st.integers(0, 2**64 - 1))
         work = np.empty((memory_core.N_INIT, m, d))
-        got = memory_core._seed_centers(points, k, seed, work)
+        got, _ = memory_core._seed_centers(points, k, seed, work)
         assert got.shape == (memory_core.N_INIT, k, d)
         for trial in range(memory_core.N_INIT):
             rng = np.random.default_rng(derive_seed(seed, "kmeans-init", trial))
             assert got[trial].tobytes() == seed_centers_loop(points, k, rng).tobytes()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_is_the_exact_argmin_and_min(self, data):
+        # bit for bit against every exact distance: integer grids tie
+        # exactly, duplicated centers tie in every point, mirrored centers
+        # p + e and p - e nearly tie at p, and at 1e-160 and 1e150 the
+        # approximate scores underflow or overflow where exact sums do not
+        r, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 40))
+        k = data.draw(st.one_of(st.just(1), st.integers(1, 6)))
+        d = data.draw(st.one_of(st.just(1), st.integers(1, 40)))
+        kind = data.draw(st.sampled_from(["normal", "integer-grid", "duplicated", "mirrored"]))
+        magnitude = data.draw(st.sampled_from([1.0, 1e-160, 1e150]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if kind == "integer-grid":
+            points = rng.integers(0, 3, (m, d)).astype(float)
+            centers = rng.integers(0, 3, (r, k, d)).astype(float)
+        elif kind == "duplicated":
+            points = rng.standard_normal(((m + 1) // 2, d))[rng.integers(0, (m + 1) // 2, m)]
+            centers = points[rng.integers(0, m, (r, k))]
+        else:
+            points = rng.standard_normal((m, d))
+            centers = rng.standard_normal((r, k, d))
+            if kind == "mirrored":
+                base = points[rng.integers(0, m, (r, (k + 1) // 2))]
+                step = rng.standard_normal(base.shape) * 10.0 ** rng.integers(-12, 1)
+                centers = np.concatenate([base + step, base - step], axis=1)[:, :k]
+        points, centers = points * magnitude, centers * magnitude
+        nearest, near = memory_core._assign(points, np.einsum("md,md->m", points, points),
+                                            centers)
+        exact = sq_dists(points, centers)
+        assert nearest.tobytes() == exact.argmin(axis=1).tobytes()
+        assert near.tobytes() == exact.min(axis=1).tobytes()
+
+    @pytest.mark.skipif(not openblas_dynamic_arch(), reason=(
+        "numpy does not link an x86-64 OpenBLAS built with DYNAMIC_ARCH, so "
+        "OPENBLAS_CORETYPE cannot pick another matrix-product kernel"))
+    def test_centroids_do_not_depend_on_the_blas_kernel(self):
+        # the assignment scores come from a BLAS matrix product, whose sums
+        # differ in their last bits from kernel to kernel; the centroids and
+        # histories must not
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from streammem.memory_core import kmeans
+
+            rng = np.random.default_rng(28901)
+            digest = hashlib.sha256()
+            for m, d, k in [(100, 32, 5), (50, 32, 5), (40, 3, 4), (60, 1, 3)]:
+                for points in (rng.standard_normal((m, d)),
+                               rng.integers(0, 3, (m, d)).astype(float)):
+                    res = kmeans(points, k, int(rng.integers(1 << 62)))
+                    digest.update(res.centroids.tobytes())
+                    digest.update(np.array(res.objective_history).tobytes())
+            print(digest.hexdigest())
+        """)
+        src = str(Path(memory_core.__file__).parents[1])
+        digests = {}
+        for core in ("Haswell", "Sandybridge", "Prescott"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests[core] = proc.stdout.strip()
+        assert len(set(digests.values())) == 1, digests
 
     def test_signed_zeros_count_as_one_distinct_point(self):
         # kmeans counts distinct rows by comparing neighbours of the sorted
@@ -408,6 +492,13 @@ class TestDialogue:
         snap = store.snapshot()
         assert [e.question for e in snap.dialogue] == ["q0"]
         snap.check(2)
+
+    def test_zero_text_vector_is_legal(self):
+        # empty text encodes to a zero vector, which scores 0 against all
+        vec, norm = check_text_vector("query encoding", [0.0, 0.0, 0.0])
+        assert vec.dtype == np.float64 and vec.tolist() == [0.0] * 3 and norm == 0.0
+        with pytest.raises(PortOutputError, match="^query encoding failed: an empty vector"):
+            check_text_vector("query encoding", [])
 
     def test_snapshot_answers_alike_after_later_turns(self):
         # later turns, across a block edge, repeat the questions asked, so

@@ -738,6 +738,16 @@ class TestStop:
         turns = [(e.question, e.answer) for e in engine.latest_snapshot().dialogue]
         assert turns == [(r.question, r.answer) for r in records]
 
+    def test_stop_forms_the_turns_of_an_engine_never_started(self):
+        engine = Engine(small_cfg(), GateConfig(), stub_ports())
+        record = engine.submit_query("what is here")
+        engine.stop()
+        turns = [(e.question, e.answer) for e in engine.store.dialogue.turns]
+        assert turns == [("what is here", record.answer)]
+        assert [e.question for e in engine.latest_snapshot().dialogue] == ["what is here"]
+        with pytest.raises(InputError, match="engine stopped"):
+            engine.submit_query("what is here now")
+
     def test_turn_answered_during_stop_is_formed_or_refused(self):
         # a client keeps asking while stop runs: each record it was given
         # must be in the final dialogue, and the rest must be refused
